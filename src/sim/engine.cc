@@ -1101,7 +1101,7 @@ void Engine::restampArrival(Job& j) {
 void Engine::notePriorityChanged(Job& j) {
   if (j.state != JobState::kReady) return;  // re-keyed on wake()
   auto& q = readyQueue(j.current);
-  const bool was_queued = q.remove(&j);
+  [[maybe_unused]] const bool was_queued = q.remove(&j);
   MPCP_DCHECK(was_queued,
               "notePriorityChanged: ready job " << j.id
                                                 << " missing from queue");
