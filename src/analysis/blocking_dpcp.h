@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "analysis/ceilings.h"
+#include "analysis/system_index.h"
 #include "common/types.h"
 #include "model/task_system.h"
 
@@ -67,6 +68,9 @@ struct DpcpBlockingOptions {
 /// Bounds for every task under DPCP (uses ResourceInfo::sync_processor).
 [[nodiscard]] std::vector<DpcpBlockingBreakdown> dpcpBlocking(
     const TaskSystem& system, const PriorityTables& tables,
+    DpcpBlockingOptions options = {});
+[[nodiscard]] std::vector<DpcpBlockingBreakdown> dpcpBlocking(
+    const SystemIndex& index, const PriorityTables& tables,
     DpcpBlockingOptions options = {});
 
 }  // namespace mpcp

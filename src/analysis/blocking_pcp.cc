@@ -1,36 +1,26 @@
 #include "analysis/blocking_pcp.h"
 
-#include <algorithm>
-
-#include "analysis/profiles.h"
 #include "common/check.h"
 
 namespace mpcp {
 
 std::vector<Duration> pcpBlocking(const TaskSystem& system,
                                   const PriorityTables& tables) {
+  return pcpBlocking(SystemIndex(system), tables);
+}
+
+std::vector<Duration> pcpBlocking(const SystemIndex& index,
+                                  const PriorityTables& tables) {
+  const TaskSystem& system = index.system();
   if (system.hasGlobalResources()) {
     throw ConfigError(
         "pcpBlocking: PCP is a uniprocessor protocol; the system has global "
         "resources");
   }
-  const std::vector<TaskProfile> profiles = buildProfiles(system);
-  std::vector<Duration> blocking(system.tasks().size(), 0);
-
+  std::vector<Duration> blocking;
+  blocking.reserve(system.tasks().size());
   for (const Task& ti : system.tasks()) {
-    Duration worst = 0;
-    for (const Task& tl : system.tasks()) {
-      if (tl.processor != ti.processor || tl.priority >= ti.priority) {
-        continue;
-      }
-      for (const SectionUse& z :
-           profiles[static_cast<std::size_t>(tl.id.value())].local_sections) {
-        if (tables.ceiling(z.resource) >= ti.priority) {
-          worst = std::max(worst, z.duration);
-        }
-      }
-    }
-    blocking[static_cast<std::size_t>(ti.id.value())] = worst;
+    blocking.push_back(index.maxLowerLocalCs(ti, tables));
   }
   return blocking;
 }

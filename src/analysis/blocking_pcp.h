@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/ceilings.h"
+#include "analysis/system_index.h"
 #include "common/types.h"
 #include "model/task_system.h"
 
@@ -18,6 +19,8 @@ namespace mpcp {
 /// B_i for every task under per-processor PCP. Only valid when the system
 /// has no global resources (throws ConfigError otherwise).
 [[nodiscard]] std::vector<Duration> pcpBlocking(const TaskSystem& system,
+                                                const PriorityTables& tables);
+[[nodiscard]] std::vector<Duration> pcpBlocking(const SystemIndex& index,
                                                 const PriorityTables& tables);
 
 }  // namespace mpcp

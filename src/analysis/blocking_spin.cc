@@ -2,69 +2,26 @@
 
 #include <algorithm>
 
-#include "analysis/profiles.h"
 #include "common/math_util.h"
 
 namespace mpcp {
 namespace {
 
-/// maxCs / Nreq for one task on one semaphore, over outermost sections
-/// (profiles fold nested inners into the outermost duration — exactly the
-/// group-lock collapse spin analysis assumes).
-struct ResourceUse {
-  Duration max_cs = 0;
-  std::int64_t requests = 0;
-};
-
-ResourceUse useOf(const TaskProfile& p, ResourceId r) {
-  ResourceUse u;
-  for (const std::vector<SectionUse>* v : {&p.global_sections,
-                                           &p.local_sections}) {
-    for (const SectionUse& s : *v) {
-      if (s.resource != r) continue;
-      u.max_cs = std::max(u.max_cs, s.duration);
-      u.requests++;
-    }
-  }
-  return u;
-}
-
-/// Per-request spin wait of task `i` on semaphore `r`.
-Duration perRequestWait(const TaskSystem& system,
-                        const std::vector<TaskProfile>& profiles, TaskId i,
-                        ResourceId r, bool priority_ordered,
-                        const SpinBlockingOptions& options) {
-  const Task& ti = system.task(i);
-  const std::vector<Task>& tasks = system.tasks();
-
-  if (!priority_ordered) {
-    // FIFO (MSRP): one earlier request per remote processor hosting users
-    // of r — requests are non-preemptive, so at most one is in flight per
-    // processor, and FIFO admits no later overtakers.
-    std::vector<Duration> per_proc(
-        static_cast<std::size_t>(system.processorCount()), 0);
-    for (const Task& tj : tasks) {
-      if (tj.processor == ti.processor) continue;
-      const ResourceUse u = useOf(profiles[tj.id.value()], r);
-      if (u.requests == 0) continue;
-      auto& slot = per_proc[static_cast<std::size_t>(tj.processor.value())];
-      slot = std::max(slot, u.max_cs);
-    }
-    Duration w = 0;
-    for (Duration d : per_proc) w += d;
-    return w;
-  }
-
-  // Priority-ordered: one in-service request of arbitrary priority, plus
-  // every higher-or-equal-priority remote request issued while we wait —
-  // a fixpoint in the wait itself. ceil+1 instances per interferer cover
-  // the carried-in job. Divergence (low-priority starvation) saturates.
+/// Per-request spin wait of `self` (one user of a semaphore) under
+/// priority-ordered grants: one in-service request of arbitrary
+/// priority, plus every higher-or-equal-priority remote request issued
+/// while we wait — a fixpoint in the wait itself. ceil+1 instances per
+/// interferer cover the carried-in job. Divergence (low-priority
+/// starvation) saturates. Users fold nested inner sections into the
+/// outermost duration — exactly the group-lock collapse spin analysis
+/// assumes.
+Duration priorityOrderedWait(std::span<const ResourceUser> users,
+                             const ResourceUser& self,
+                             const SpinBlockingOptions& options) {
   Duration max_any = 0;
   bool any_remote = false;
-  for (const Task& tj : tasks) {
-    if (tj.processor == ti.processor) continue;
-    const ResourceUse u = useOf(profiles[tj.id.value()], r);
-    if (u.requests == 0) continue;
+  for (const ResourceUser& u : users) {
+    if (u.processor == self.processor) continue;
     any_remote = true;
     max_any = std::max(max_any, u.max_cs);
   }
@@ -75,13 +32,10 @@ Duration perRequestWait(const TaskSystem& system,
     // Accumulate wide: a near-saturation wait times a request count can
     // overflow Duration before the clamp fires.
     __int128 next = max_any;
-    for (const Task& tj : tasks) {
-      if (tj.processor == ti.processor) continue;
-      if (tj.priority < ti.priority) continue;
-      if (tj.id == i) continue;
-      const ResourceUse u = useOf(profiles[tj.id.value()], r);
-      if (u.requests == 0) continue;
-      next += static_cast<__int128>(ceilDiv(w, tj.period) + 1) * u.requests *
+    for (const ResourceUser& u : users) {
+      if (u.processor == self.processor) continue;
+      if (u.priority < self.priority) continue;
+      next += static_cast<__int128>(ceilDiv(w, u.period) + 1) * u.requests *
               u.max_cs;
     }
     if (next > static_cast<__int128>(kSpinBoundSaturated)) {
@@ -99,22 +53,48 @@ Duration perRequestWait(const TaskSystem& system,
 std::vector<SpinBlockingBreakdown> spinBlocking(const TaskSystem& system,
                                                 bool priority_ordered,
                                                 SpinBlockingOptions options) {
-  const std::vector<TaskProfile> profiles = buildProfiles(system);
+  return spinBlocking(SystemIndex(system), priority_ordered, options);
+}
+
+std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
+                                                bool priority_ordered,
+                                                SpinBlockingOptions options) {
+  const TaskSystem& system = index.system();
   const std::vector<Task>& tasks = system.tasks();
   std::vector<SpinBlockingBreakdown> out(tasks.size());
+  // Per task: the longest non-preemptive window it can open, i.e. the
+  // max over its requests of (spin wait + section).
+  std::vector<Duration> window(tasks.size(), 0);
 
-  // S: every request busy-waits at most its per-request bound.
-  for (const Task& ti : tasks) {
-    const TaskProfile& p = profiles[ti.id.value()];
-    Duration spin = 0;
-    for (const std::vector<SectionUse>* v : {&p.global_sections,
-                                             &p.local_sections}) {
-      for (const SectionUse& s : *v) {
-        spin += perRequestWait(system, profiles, ti.id, s.resource,
-                               priority_ordered, options);
+  // S: every request busy-waits at most its per-request bound, which
+  // depends only on the (task, semaphore) pair — one wait per user.
+  std::vector<Duration> per_proc(
+      static_cast<std::size_t>(system.processorCount()), 0);
+  for (const ResourceInfo& r : system.resources()) {
+    const std::span<const ResourceUser> users = index.users(r.id);
+    // FIFO (MSRP): one earlier request per remote processor hosting users
+    // of r — requests are non-preemptive, so at most one is in flight per
+    // processor, and FIFO admits no later overtakers. The wait of a user
+    // on P is the sum of the per-processor maxima minus P's own.
+    Duration all_procs = 0;
+    if (!priority_ordered) {
+      std::fill(per_proc.begin(), per_proc.end(), 0);
+      for (const ResourceUser& u : users) {
+        auto& slot = per_proc[static_cast<std::size_t>(u.processor.value())];
+        slot = std::max(slot, u.max_cs);
       }
+      for (Duration d : per_proc) all_procs += d;
     }
-    out[ti.id.value()].spin_wait = spin;
+    for (const ResourceUser& u : users) {
+      const Duration wait =
+          priority_ordered
+              ? priorityOrderedWait(users, u, options)
+              : all_procs -
+                    per_proc[static_cast<std::size_t>(u.processor.value())];
+      const auto t = static_cast<std::size_t>(u.task.value());
+      out[t].spin_wait += u.requests * wait;
+      window[t] = std::max(window[t], wait + u.max_cs);
+    }
   }
 
   for (const Task& ti : tasks) {
@@ -125,34 +105,22 @@ std::vector<SpinBlockingBreakdown> spinBlocking(const TaskSystem& system,
     // processor non-preemptively — for its own spin plus its section.
     // Preemption by a higher task opens no new window: once that task
     // finishes, we are dispatched before any lower task can start one.
-    Duration window = 0;
-    for (const Task& tl : tasks) {
-      if (tl.processor != ti.processor || tl.id == ti.id) continue;
-      if (tl.priority > ti.priority) continue;
-      const TaskProfile& pl = profiles[tl.id.value()];
-      for (const std::vector<SectionUse>* v : {&pl.global_sections,
-                                               &pl.local_sections}) {
-        for (const SectionUse& s : *v) {
-          window = std::max(
-              window, perRequestWait(system, profiles, tl.id, s.resource,
-                                     priority_ordered, options) +
-                          s.duration);
-        }
-      }
+    Duration worst = 0;
+    for (TaskId tl : index.lowerLocal(ti)) {
+      worst = std::max(worst, window[static_cast<std::size_t>(tl.value())]);
     }
-    const int points =
-        1 + profiles[ti.id.value()].voluntary_suspensions;
-    b.arrival_blocking = points * window;
+    const int points = 1 + index.profile(ti.id).voluntary_suspensions;
+    b.arrival_blocking = points * worst;
 
     // Deferred execution: a suspending higher-priority local task can
     // compress one extra burst — its computation plus its spin occupancy
     // — into our busy period (same charge the MPCP/DPCP analyses make).
     if (options.include_deferred_execution) {
-      for (const Task& th : tasks) {
-        if (th.processor != ti.processor || th.id == ti.id) continue;
-        if (!(th.priority > ti.priority)) continue;
-        if (profiles[th.id.value()].voluntary_suspensions == 0) continue;
-        b.deferred_execution += th.wcet + out[th.id.value()].spin_wait;
+      for (TaskId th : index.higherLocal(ti)) {
+        if (index.profile(th).voluntary_suspensions == 0) continue;
+        b.deferred_execution += system.task(th).wcet +
+                                out[static_cast<std::size_t>(th.value())]
+                                    .spin_wait;
       }
     }
   }

@@ -35,6 +35,7 @@
 
 #include <vector>
 
+#include "analysis/system_index.h"
 #include "common/types.h"
 #include "model/task_system.h"
 
@@ -68,6 +69,9 @@ inline constexpr Duration kSpinBoundSaturated = Duration{1} << 40;
 /// spin-prio's grant order (false = FIFO / MSRP).
 [[nodiscard]] std::vector<SpinBlockingBreakdown> spinBlocking(
     const TaskSystem& system, bool priority_ordered,
+    SpinBlockingOptions options = {});
+[[nodiscard]] std::vector<SpinBlockingBreakdown> spinBlocking(
+    const SystemIndex& index, bool priority_ordered,
     SpinBlockingOptions options = {});
 
 /// Per-task interference inflation (== spin_wait) for

@@ -4,7 +4,7 @@
 // global semaphores a task uses.
 #pragma once
 
-#include <set>
+#include <algorithm>
 #include <vector>
 
 #include "common/types.h"
@@ -22,7 +22,8 @@ struct SectionUse {
 struct TaskProfile {
   std::vector<SectionUse> global_sections;  ///< outermost gcs's, in body order
   std::vector<SectionUse> local_sections;   ///< outermost local cs's
-  std::set<std::int32_t> global_resources;  ///< GS_i: ids of globals used
+  /// GS_i: globals used at any nesting depth, sorted, no duplicates.
+  std::vector<ResourceId> global_resources;
   int voluntary_suspensions = 0;            ///< number of SuspendOps
   Duration total_suspension = 0;            ///< sum of SuspendOp durations
 
@@ -34,6 +35,11 @@ struct TaskProfile {
   /// voluntary suspensions.
   [[nodiscard]] int suspensionOpportunities() const {
     return ng() + voluntary_suspensions;
+  }
+  /// True iff `r` is in GS_i.
+  [[nodiscard]] bool usesGlobal(ResourceId r) const {
+    return std::binary_search(global_resources.begin(),
+                              global_resources.end(), r);
   }
   /// Longest gcs duration, 0 if none.
   [[nodiscard]] Duration maxGcs() const {

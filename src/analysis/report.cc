@@ -1,6 +1,7 @@
 #include "analysis/report.h"
 
 #include <iomanip>
+#include <set>
 #include <sstream>
 
 #include "analysis/profiles.h"

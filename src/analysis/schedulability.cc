@@ -15,18 +15,13 @@ double liuLaylandBound(int n) {
 
 namespace {
 
-/// RTA fixpoint for one task given its local higher-priority interferers.
-/// Returns the response time, or D_i + 1 if the iteration diverges past
-/// the deadline (unschedulable sentinel).
-Duration responseTime(const TaskSystem& sys, const Task& ti, Duration bi,
+/// RTA fixpoint for one task given its local higher-priority interferers
+/// `hp`. Returns the response time, or D_i + 1 if the iteration diverges
+/// past the deadline (unschedulable sentinel).
+Duration responseTime(const Task& ti, Duration bi,
+                      std::span<const Task* const> hp,
                       std::span<const Duration> jitter,
                       std::span<const Duration> inflation) {
-  std::vector<const Task*> hp;
-  for (TaskId tid : sys.tasksOn(ti.processor)) {
-    const Task& tj = sys.task(tid);
-    if (tj.priority > ti.priority) hp.push_back(&tj);
-  }
-
   const Duration limit = ti.relative_deadline;
   Duration r = ti.wcet + bi;
   while (true) {
@@ -65,8 +60,10 @@ SchedulabilityReport analyzeSchedulability(const TaskSystem& system,
   report.ll_all = true;
   report.rta_all = true;
 
+  std::vector<const Task*> hp;  // local tasks above the current one
   for (int p = 0; p < system.processorCount(); ++p) {
     const auto& local = system.tasksOn(ProcessorId(p));  // priority desc
+    hp.clear();
     double hp_util = 0.0;
     // Inflation of strictly higher-priority local tasks, as utilization:
     // their spin occupancy steals the processor like extra computation,
@@ -87,7 +84,7 @@ SchedulabilityReport analyzeSchedulability(const TaskSystem& system,
       v.utilization_bound = liuLaylandBound(static_cast<int>(rank) + 1);
       v.ll_ok = v.utilization_lhs <= v.utilization_bound + 1e-12;
 
-      v.response_time = responseTime(system, ti, bi, jitter, inflation);
+      v.response_time = responseTime(ti, bi, hp, jitter, inflation);
       v.rta_ok = v.response_time <= ti.relative_deadline;
 
       report.ll_all &= v.ll_ok;
@@ -99,6 +96,7 @@ SchedulabilityReport analyzeSchedulability(const TaskSystem& system,
                 inflation[static_cast<std::size_t>(ti.id.value())]) /
             static_cast<double>(ti.period);
       }
+      hp.push_back(&ti);
     }
   }
   return report;

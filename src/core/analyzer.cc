@@ -1,7 +1,7 @@
 #include "core/analyzer.h"
 
 #include "analysis/blocking_pcp.h"
-#include "analysis/profiles.h"
+#include "analysis/system_index.h"
 #include "common/check.h"
 #include "common/strf.h"
 #include "core/protocol_registry.h"
@@ -14,31 +14,55 @@ namespace {
 /// is not executing and not preempted), and defers its remaining
 /// computation (jitter for lower-priority neighbours). Fold it into both
 /// vectors.
-void addSelfSuspension(const TaskSystem& system,
+void addSelfSuspension(const SystemIndex& index,
                        std::vector<Duration>& blocking,
                        std::vector<Duration>& jitter) {
-  const auto profiles = buildProfiles(system);
+  const std::vector<TaskProfile>& profiles = index.profiles();
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     blocking[i] += profiles[i].total_suspension;
     jitter[i] += profiles[i].total_suspension;
   }
 }
 
+/// B_i and remote-suspension jitter of every task, in TaskId order.
+template <typename Breakdown>
+void foldBreakdowns(const std::vector<Breakdown>& all, ProtocolAnalysis& out) {
+  out.blocking.reserve(all.size());
+  out.jitter.reserve(all.size());
+  for (const Breakdown& b : all) {
+    out.blocking.push_back(b.total());
+    out.jitter.push_back(b.remoteSuspension());
+  }
+}
+
+ProtocolAnalysis analyzeHybrid(const SystemIndex& index,
+                               const HybridPolicy& policy,
+                               const AnalyzerOptions& options) {
+  const TaskSystem& system = index.system();
+  const PriorityTables tables(system);
+  ProtocolAnalysis out;
+  out.kind = ProtocolKind::kMpcp;  // closest kind tag; informational only
+  foldBreakdowns(hybridBlocking(index, tables, policy, options.mpcp), out);
+  addSelfSuspension(index, out.blocking, out.jitter);
+  out.report = analyzeSchedulability(system, out.blocking, out.jitter);
+  return out;
+}
+
 }  // namespace
 
 ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
                               const AnalyzerOptions& options) {
+  const SystemIndex index(system);
   if (kind == ProtocolKind::kHybrid) {
     ProtocolAnalysis out =
-        analyzeHybrid(system, defaultHybridPolicy(system), options);
+        analyzeHybrid(index, defaultHybridPolicy(system), options);
     out.kind = ProtocolKind::kHybrid;
     return out;
   }
 
-  PriorityTables tables(system);
+  const PriorityTables tables(system);
   ProtocolAnalysis out;
   out.kind = kind;
-  const std::size_t n = system.tasks().size();
   // Spin protocols: the busy-wait occupies the processor, so it must be
   // charged to lower-priority neighbours as inflated interference, not
   // just to the task's own B_i (see analyzeSchedulability).
@@ -46,40 +70,22 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
 
   switch (kind) {
     case ProtocolKind::kPcp: {
-      out.blocking = pcpBlocking(system, tables);
-      out.jitter.assign(n, 0);  // PCP jobs never self-suspend
+      out.blocking = pcpBlocking(index, tables);
+      out.jitter.assign(out.blocking.size(), 0);  // PCP jobs never suspend
       break;
     }
-    case ProtocolKind::kMpcp: {
-      const MpcpBlockingAnalysis analysis(system, tables, options.mpcp);
-      out.blocking.reserve(n);
-      out.jitter.reserve(n);
-      for (const BlockingBreakdown& b : analysis.all()) {
-        out.blocking.push_back(b.total());
-        out.jitter.push_back(b.remoteSuspension());
-      }
+    case ProtocolKind::kMpcp:
+      foldBreakdowns(MpcpBlockingAnalysis(index, tables, options.mpcp).all(),
+                     out);
       break;
-    }
-    case ProtocolKind::kDpcp: {
-      const auto breakdowns = dpcpBlocking(system, tables, options.dpcp);
-      out.blocking.reserve(n);
-      out.jitter.reserve(n);
-      for (const DpcpBlockingBreakdown& b : breakdowns) {
-        out.blocking.push_back(b.total());
-        out.jitter.push_back(b.remoteSuspension());
-      }
+    case ProtocolKind::kDpcp:
+      foldBreakdowns(dpcpBlocking(index, tables, options.dpcp), out);
       break;
-    }
     case ProtocolKind::kSpinFifo:
     case ProtocolKind::kSpinPrio: {
       const auto breakdowns = spinBlocking(
-          system, kind == ProtocolKind::kSpinPrio, options.spin);
-      out.blocking.reserve(n);
-      out.jitter.reserve(n);
-      for (const SpinBlockingBreakdown& b : breakdowns) {
-        out.blocking.push_back(b.total());
-        out.jitter.push_back(b.remoteSuspension());  // always 0: no suspend
-      }
+          index, kind == ProtocolKind::kSpinPrio, options.spin);
+      foldBreakdowns(breakdowns, out);  // jitter always 0: no suspension
       inflation = spinInflation(breakdowns);
       break;
     }
@@ -90,7 +96,7 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
           "' — unbounded priority inversion (Section 3.3)"));
   }
 
-  addSelfSuspension(system, out.blocking, out.jitter);
+  addSelfSuspension(index, out.blocking, out.jitter);
   out.report =
       analyzeSchedulability(system, out.blocking, out.jitter, inflation);
   return out;
@@ -99,20 +105,7 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
 ProtocolAnalysis analyzeHybrid(const TaskSystem& system,
                                const HybridPolicy& policy,
                                const AnalyzerOptions& options) {
-  PriorityTables tables(system);
-  ProtocolAnalysis out;
-  out.kind = ProtocolKind::kMpcp;  // closest kind tag; informational only
-  const auto breakdowns =
-      hybridBlocking(system, tables, policy, options.mpcp);
-  out.blocking.reserve(breakdowns.size());
-  out.jitter.reserve(breakdowns.size());
-  for (const HybridBlockingBreakdown& b : breakdowns) {
-    out.blocking.push_back(b.total());
-    out.jitter.push_back(b.remoteSuspension());
-  }
-  addSelfSuspension(system, out.blocking, out.jitter);
-  out.report = analyzeSchedulability(system, out.blocking, out.jitter);
-  return out;
+  return analyzeHybrid(SystemIndex(system), policy, options);
 }
 
 }  // namespace mpcp

@@ -58,7 +58,7 @@
 #include <vector>
 
 #include "analysis/ceilings.h"
-#include "analysis/profiles.h"
+#include "analysis/system_index.h"
 #include "common/types.h"
 #include "model/task_system.h"
 
@@ -100,22 +100,15 @@ class MpcpBlockingAnalysis {
  public:
   MpcpBlockingAnalysis(const TaskSystem& system, const PriorityTables& tables,
                        BlockingOptions options = {});
+  MpcpBlockingAnalysis(const SystemIndex& index, const PriorityTables& tables,
+                       BlockingOptions options = {});
 
   [[nodiscard]] const BlockingBreakdown& blocking(TaskId t) const;
   [[nodiscard]] const std::vector<BlockingBreakdown>& all() const {
     return breakdowns_;
   }
-  [[nodiscard]] const std::vector<TaskProfile>& profiles() const {
-    return profiles_;
-  }
 
  private:
-  BlockingBreakdown computeFor(const Task& ti) const;
-
-  const TaskSystem* system_;
-  const PriorityTables* tables_;
-  BlockingOptions options_;
-  std::vector<TaskProfile> profiles_;
   std::vector<BlockingBreakdown> breakdowns_;
 };
 

@@ -55,5 +55,8 @@ struct HybridBlockingBreakdown {
 [[nodiscard]] std::vector<HybridBlockingBreakdown> hybridBlocking(
     const TaskSystem& system, const PriorityTables& tables,
     const HybridPolicy& policy, BlockingOptions options = {});
+[[nodiscard]] std::vector<HybridBlockingBreakdown> hybridBlocking(
+    const SystemIndex& index, const PriorityTables& tables,
+    const HybridPolicy& policy, BlockingOptions options = {});
 
 }  // namespace mpcp
