@@ -68,12 +68,12 @@ std::string encodeFuzzRunOutcome(const FuzzRunOutcome& outcome) {
   if (outcome.failures.empty()) return "clean";
   std::string out = strf("hit ", outcome.failures.size());
   for (const OracleFailure& f : outcome.failures) {
-    out += "\n" + f.protocol;
-    out += "\n" + f.oracle;
-    out += "\n" + exec::escapeLine(f.details);
+    out.append("\n").append(f.protocol);
+    out.append("\n").append(f.oracle);
+    out.append("\n").append(exec::escapeLine(f.details));
   }
-  out += "\n" + exec::escapeLine(outcome.fault_plan_text);
-  out += "\n" + exec::escapeLine(outcome.system_text);
+  out.append("\n").append(exec::escapeLine(outcome.fault_plan_text));
+  out.append("\n").append(exec::escapeLine(outcome.system_text));
   return out;
 }
 

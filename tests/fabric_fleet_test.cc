@@ -38,7 +38,7 @@ std::string tempSock(const std::string& name) {
 
 std::vector<std::string> makeKeys(int n) {
   std::vector<std::string> keys;
-  for (int i = 0; i < n; ++i) keys.push_back("k" + std::to_string(i));
+  for (int i = 0; i < n; ++i) keys.push_back(std::string("k").append(std::to_string(i)));
   return keys;
 }
 

@@ -71,7 +71,7 @@ std::string serialJournalBytes(int seeds, std::uint64_t base) {
   std::string bytes =
       formatRecord(RecordKind::kMeta, "config", "fleet-test-v1");
   for (int s = 0; s < seeds; ++s) {
-    const std::string key = "s" + std::to_string(base + s);
+    const std::string key = std::string("s").append(std::to_string(base + s));
     bytes += formatRecord(RecordKind::kStart, key, "");
     bytes += formatRecord(RecordKind::kDone, key, payloadFor(key));
   }
