@@ -129,10 +129,15 @@ TEST(FuzzOracles, SpinFifoLifoMutationIsCaught) {
   ASSERT_FALSE(failures.empty())
       << "LIFO grants in a claimed-FIFO spin lock must not pass";
   bool spin_hit = false;
+  bool reference_hit = false;
   for (const OracleFailure& f : failures) {
     if (f.protocol.find("spin-fifo") != std::string::npos) spin_hit = true;
+    if (f.oracle == "cross:reference-spin") reference_hit = true;
   }
   EXPECT_TRUE(spin_hit);
+  // The priority-handoff audit exempts FIFO spinning, so the reference
+  // differential is the oracle that sees LIFO grants.
+  EXPECT_TRUE(reference_hit);
 }
 
 TEST(FuzzOracles, SpinPrioFifoMutationIsCaught) {
@@ -143,10 +148,13 @@ TEST(FuzzOracles, SpinPrioFifoMutationIsCaught) {
   ASSERT_FALSE(failures.empty())
       << "arrival-order grants in a priority spin lock must not pass";
   bool spin_hit = false;
+  bool reference_hit = false;
   for (const OracleFailure& f : failures) {
     if (f.protocol.find("spin-prio") != std::string::npos) spin_hit = true;
+    if (f.oracle == "cross:reference-spin") reference_hit = true;
   }
   EXPECT_TRUE(spin_hit);
+  EXPECT_TRUE(reference_hit);
 }
 
 TEST(FuzzOracles, MutationsOnlyTouchTheirTargetProtocol) {
