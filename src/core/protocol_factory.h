@@ -6,22 +6,11 @@
 #include <string>
 
 #include "analysis/ceilings.h"
+#include "core/protocol_kind.h"
 #include "model/task_system.h"
 #include "sim/protocol.h"
 
 namespace mpcp {
-
-enum class ProtocolKind {
-  kNone,      ///< plain semaphores, FIFO queues, no priority management
-  kNonePrio,  ///< plain semaphores with priority-ordered queues
-  kPip,       ///< priority inheritance (cross-processor)
-  kPcp,       ///< uniprocessor priority ceiling protocol (no globals)
-  kMpcp,      ///< the paper's shared-memory protocol
-  kDpcp,      ///< message-based baseline [8]
-  kHybrid,    ///< per-resource MPCP/DPCP mix (canonical id-parity policy)
-  kSpinFifo,  ///< MSRP-style non-preemptive FIFO spin locks
-  kSpinPrio,  ///< non-preemptive priority-ordered spin locks
-};
 
 /// Canonical name of `kind` ("mpcp", "spin-fifo", ...). Never "?": every
 /// enumerator is registered; see core/protocol_registry.h.

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
 #include "common/strf.h"
 #include "core/simulate.h"
 #include "fuzz/protocols.h"
-#include "sim/reference_mpcp.h"
-#include "sim/reference_spin.h"
+#include "sim/reference.h"
 #include "trace/invariants.h"
 
 namespace mpcp::fuzz {
@@ -65,6 +63,37 @@ void addReport(std::vector<OracleFailure>& out, const std::string& protocol,
   out.push_back({protocol, strf("invariant:", oracle),
                  strf(report.violations.front(), " (+",
                       report.violations.size() - 1, " more)")});
+}
+
+/// Engine vs the independent tick-stepped reference on the short
+/// differential horizon: a divergence in job finish times is an `oracle`
+/// finding, an internal check tripping is a `crash_oracle` one. The
+/// engine run repeats any mutation, so a mis-granting variant shows up
+/// as a schedule divergence. Systems either side rejects are skipped.
+void checkAgainstReference(std::vector<OracleFailure>& out,
+                           const TaskSystem& system, ProtocolKind kind,
+                           const char* oracle, const char* crash_oracle,
+                           Time horizon, Mutation mutation,
+                           const fault::FaultPlan* plan = nullptr) {
+  const char* name = toString(kind);
+  SimConfig config{.horizon = horizon, .record_trace = false};
+  config.fault_plan = plan;
+  try {
+    const auto engine = tryRunProtocol(name, system, config, mutation);
+    if (!engine.has_value()) return;
+    FinishMap ref_map;
+    for (const ReferenceJobResult& rj :
+         simulateReference(kind, system, horizon, plan).jobs) {
+      ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
+    }
+    if (const auto diff = diffFinishes(system, finishMapOf(*engine), "engine",
+                                       ref_map, "reference")) {
+      out.push_back({name, oracle, *diff});
+    }
+  } catch (const ConfigError&) {
+  } catch (const InvariantError& e) {
+    out.push_back({name, crash_oracle, e.what()});
+  }
 }
 
 /// Spin protocols never suspend on a lock: between a job's kLockWait and
@@ -210,28 +239,9 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
 
   // (c) cross-implementation differentials.
   if (runs.count("mpcp") != 0) {
-    // Engine vs the independent tick-stepped reference, same short horizon.
-    try {
-      const auto engine_small =
-          tryRunProtocol("mpcp", system,
-                         SimConfig{.horizon = options.differential_horizon,
-                                   .record_trace = false},
-                         options.mutation);
-      if (engine_small.has_value()) {
-        const ReferenceResult ref =
-            simulateMpcpReference(system, options.differential_horizon);
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
-        if (const auto diff = diffFinishes(system, finishMapOf(*engine_small),
-                                           "engine", ref_map, "reference")) {
-          failures.push_back({"mpcp", "cross:reference-mpcp", *diff});
-        }
-      }
-    } catch (const InvariantError& e) {
-      failures.push_back({"mpcp", "crash:invariant", e.what()});
-    }
+    checkAgainstReference(failures, system, ProtocolKind::kMpcp,
+                          "cross:reference-mpcp", "crash:invariant",
+                          options.differential_horizon, options.mutation);
 
     // hybrid(all-shared) must equal MPCP job-for-job.
     try {
@@ -248,33 +258,12 @@ std::vector<OracleFailure> checkSystem(const TaskSystem& system,
     }
   }
 
-  // Engine vs the independent tick-stepped spin reference. The small
-  // engine run repeats any mutation, so a mis-granting spin variant shows
-  // up here as a schedule divergence.
-  for (const char* sname : {"spin-fifo", "spin-prio"}) {
-    if (runs.count(sname) == 0) continue;
-    try {
-      const auto engine_small =
-          tryRunProtocol(sname, system,
-                         SimConfig{.horizon = options.differential_horizon,
-                                   .record_trace = false},
-                         options.mutation);
-      if (engine_small.has_value()) {
-        const ReferenceResult ref = simulateSpinReference(
-            system, options.differential_horizon,
-            std::string_view(sname) == "spin-prio");
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
-        if (const auto diff = diffFinishes(system, finishMapOf(*engine_small),
-                                           "engine", ref_map, "reference")) {
-          failures.push_back({sname, "cross:reference-spin", *diff});
-        }
-      }
-    } catch (const InvariantError& e) {
-      failures.push_back({sname, "crash:invariant", e.what()});
-    }
+  for (const ProtocolKind kind :
+       {ProtocolKind::kSpinFifo, ProtocolKind::kSpinPrio}) {
+    if (runs.count(toString(kind)) == 0) continue;
+    checkAgainstReference(failures, system, kind, "cross:reference-spin",
+                          "crash:invariant", options.differential_horizon,
+                          options.mutation);
   }
 
   if (runs.count("dpcp") != 0) {
@@ -408,28 +397,10 @@ std::vector<OracleFailure> checkSystemFaults(const TaskSystem& system,
   // fault class except processor stalls, so for mirrorable plans the
   // engine under policy "none" must still agree with it tick for tick.
   if (plan.mirrorable()) {
-    try {
-      SimConfig config{.horizon = options.differential_horizon,
-                       .record_trace = false};
-      config.fault_plan = &plan;
-      const auto engine_small = tryRunProtocol("mpcp", system, config);
-      if (engine_small.has_value()) {
-        const ReferenceResult ref =
-            simulateMpcpReference(system, options.differential_horizon, &plan);
-        FinishMap ref_map;
-        for (const ReferenceJobResult& rj : ref.jobs) {
-          ref_map[{rj.id.task.value(), rj.id.instance}] = rj.finish;
-        }
-        if (const auto diff =
-                diffFinishes(system, finishMapOf(*engine_small), "engine",
-                             ref_map, "reference")) {
-          failures.push_back({"mpcp", "fault:cross-reference", *diff});
-        }
-      }
-    } catch (const ConfigError&) {
-    } catch (const InvariantError& e) {
-      failures.push_back({"mpcp", "fault:crash", e.what()});
-    }
+    checkAgainstReference(failures, system, ProtocolKind::kMpcp,
+                          "fault:cross-reference", "fault:crash",
+                          options.differential_horizon, Mutation::kNone,
+                          &plan);
   }
 
   return failures;

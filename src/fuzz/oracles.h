@@ -15,8 +15,8 @@
 //       deadlines, and in a miss-free run every job's observed blocking
 //       must stay within its B_i bound.
 //   (c) cross:*      — differential checks across implementations:
-//       MPCP and the spin protocols vs their independent tick-stepped
-//       reference simulators; hybrid(all-shared) ≡ MPCP and
+//       MPCP and the spin protocols vs the independent tick-stepped
+//       reference simulator; hybrid(all-shared) ≡ MPCP and
 //       hybrid(all-message) ≡ DPCP job finish times; and on systems with
 //       no global resources, PCP, MPCP and DPCP must agree exactly (they
 //       all reduce to local PCP).
