@@ -74,37 +74,48 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
   expected_jobs = std::min(expected_jobs, config_.max_jobs);
   result_.jobs.reserve(static_cast<std::size_t>(expected_jobs));
   if (config_.record_trace) {
-    // Per-task op census instead of a flat per-job guess: each job emits
-    // at most release/start/finish/miss plus per-op events (lock: wait +
-    // grant + gcs-enter + handoff; unlock: gcs-exit + unlock; suspend:
-    // suspend + resume), and causes at most 1 + suspends + 2*locks
-    // dispatch changes, each emitting at most a preempt + a start on one
-    // processor. Segments split at the same dispatch boundaries. Capped
-    // (with ordinary vector growth as the fallback) so a degenerate
-    // op-heavy system cannot over-reserve; tests/allocation_test.cc pins
-    // trace-armed runs at zero post-setup allocations.
+    // Events: a per-task op census. Each job emits at most
+    // release/start/finish/miss plus per-op events (lock: wait + grant +
+    // gcs-enter + handoff; unlock: gcs-exit + unlock; suspend: suspend +
+    // resume), and causes at most 1 + suspends + 2*locks dispatch
+    // changes, each emitting at most a preempt + a start on one
+    // processor.
+    // Segments: advanceTo() appends one segment per busy processor per
+    // clock step (merging only into the globally last segment), so
+    // segments <= processors * steps. A fault-free step lands on a
+    // release, a suspension wake, a compute op's completion or the
+    // horizon, so steps <= 1 + sum over jobs of (1 + computes +
+    // suspends). Fault-armed runs add steps this does not count (stall
+    // boundaries, budget and watchdog deadlines, miss checks).
+    // Both are capped (with ordinary vector growth as the fallback) so
+    // a degenerate op-heavy system cannot over-reserve;
+    // tests/allocation_test.cc pins trace-armed runs at zero post-setup
+    // allocations.
     constexpr std::int64_t kTraceReserveCap = 1 << 20;
     std::int64_t expected_events = 0;
-    std::int64_t expected_segments = 0;
+    std::int64_t steps = 1;
     for (const Task& t : system_.tasks()) {
       if (t.period <= 0) continue;
       const std::int64_t jobs_t = horizon_ / t.period + 1;
       std::int64_t locks = 0;
+      std::int64_t computes = 0;
       std::int64_t suspends = 0;
       for (const Op& op : t.body.ops()) {
         if (std::holds_alternative<LockOp>(op)) {
           ++locks;
+        } else if (std::holds_alternative<ComputeOp>(op)) {
+          ++computes;
         } else if (std::holds_alternative<SuspendOp>(op)) {
           ++suspends;
         }
       }
       expected_events += jobs_t * (6 + 10 * locks + 4 * suspends);
-      expected_segments += jobs_t * (2 + 4 * locks + 2 * suspends);
+      steps += jobs_t * (1 + computes + suspends);
     }
     result_.trace.reserve(static_cast<std::size_t>(
         std::min(expected_events, kTraceReserveCap)));
     result_.segments.reserve(static_cast<std::size_t>(
-        std::min(expected_segments, kTraceReserveCap / 2)));
+        std::min(procs * steps, kTraceReserveCap / 2)));
   }
 
   // ----- allocation-free steady state (DESIGN.md, "Engine hot path") -----

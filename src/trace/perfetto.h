@@ -10,7 +10,8 @@
 //   * blocking episodes  -> async "b"/"e" spans (kLockWait .. matching
 //     kLockGrant; PCP wake-retry re-waits extend the open span);
 //   * voluntary suspensions -> async spans (kSelfSuspend .. kSelfResume);
-//   * deadline misses -> "i" instant events.
+//   * deadline misses and fault/containment events -> "i" instants
+//     (a processor stall has no job, so it is process-scoped).
 // Spans still open at the horizon are closed there.
 //
 // Requires SimConfig::record_trace (the exporter reads result.trace and

@@ -112,6 +112,19 @@ TaskSystem load(const std::string& path) {
   return parseTaskSystem(in);
 }
 
+/// Writes one output file through `write(std::ostream&)`, then flushes
+/// and checks the stream: a failed open or write (a full disk,
+/// /dev/full) throws ConfigError (exit 2) instead of reporting success.
+template <typename Write>
+void writeFile(const std::string& path, Write&& write) {
+  std::ofstream out(path, std::ios::trunc);
+  if (out) {
+    write(out);
+    out.flush();
+  }
+  if (!out) throw ConfigError("cannot write '" + path + "'");
+}
+
 ProtocolKind protocolFromName(const std::string& name) {
   // Registry lookup: an unknown name throws ConfigError listing every
   // known protocol (main prints it and exits 2, no usage reprint — the
@@ -219,18 +232,17 @@ int cmdSimulate(const Args& args) {
     std::cout << "\n" << renderNarrative(sys, r);
   }
   if (args.has("csv")) {
-    std::ofstream jobs(csv_prefix + "_jobs.csv");
-    writeJobsCsv(jobs, sys, r);
-    std::ofstream trace(csv_prefix + "_trace.csv");
-    writeTraceCsv(trace, sys, r);
-    std::ofstream segs(csv_prefix + "_segments.csv");
-    writeSegmentsCsv(segs, sys, r);
+    writeFile(csv_prefix + "_jobs.csv",
+              [&](std::ostream& os) { writeJobsCsv(os, sys, r); });
+    writeFile(csv_prefix + "_trace.csv",
+              [&](std::ostream& os) { writeTraceCsv(os, sys, r); });
+    writeFile(csv_prefix + "_segments.csv",
+              [&](std::ostream& os) { writeSegmentsCsv(os, sys, r); });
     std::cout << "wrote " << csv_prefix << "_{jobs,trace,segments}.csv\n";
   }
   if (args.has("perfetto")) {
-    std::ofstream out(perfetto_path);
-    if (!out) throw ConfigError("cannot write '" + perfetto_path + "'");
-    writePerfettoTrace(out, sys, r);
+    writeFile(perfetto_path,
+              [&](std::ostream& os) { writePerfettoTrace(os, sys, r); });
     std::cout << "wrote " << perfetto_path << " (load in ui.perfetto.dev)\n";
   }
   return r.any_deadline_miss ? 1 : 0;
@@ -280,9 +292,7 @@ void emitText(const std::string& path, const std::string& text) {
     std::cout << text;
     return;
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw ConfigError("cannot write '" + path + "'");
-  out << text;
+  writeFile(path, [&](std::ostream& os) { os << text; });
 }
 
 int cmdStats(const Args& args) {
@@ -594,9 +604,8 @@ int cmdFaults(const Args& args) {
     std::cout << "\n" << renderCountersReport(sys, r.counters);
   }
   if (args.has("perfetto")) {
-    std::ofstream out(perfetto_path);
-    if (!out) throw ConfigError("cannot write '" + perfetto_path + "'");
-    writePerfettoTrace(out, sys, r);
+    writeFile(perfetto_path,
+              [&](std::ostream& os) { writePerfettoTrace(os, sys, r); });
     std::cout << "wrote " << perfetto_path << " (load in ui.perfetto.dev)\n";
   }
   return r.any_deadline_miss ? 1 : 0;
