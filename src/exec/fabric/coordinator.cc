@@ -118,6 +118,10 @@ struct Coordinator {
     if (config.log != nullptr) *config.log << "fleet: " << message << "\n";
   }
 
+  void commit() {
+    if (config.on_commit) config.on_commit();
+  }
+
   [[nodiscard]] std::size_t liveWorkers() const {
     std::size_t n = 0;
     for (const auto& c : conns) {
@@ -213,6 +217,7 @@ struct Coordinator {
       }
       conn.last_progress_ms = nowMs();
       ckpt_dirty = true;
+      commit();  // the lease's start records, before a worker sees it
       if (!conn.send(FrameType::kLease, payload)) {
         // The connection died under us; the usual drop path reclaims the
         // keys on the next loop pass (recv will see EOF/error).
@@ -384,6 +389,7 @@ struct Coordinator {
       pending.pop_front();
       ++out.counters.degraded_local_runs;
       if (config.on_grant) config.on_grant(key);
+      commit();  // an in-thread key can take the journaling process down
       FleetResult r;
       try {
         r = config.local_fn(key);
@@ -703,6 +709,7 @@ FleetOutcome runFleet(const std::vector<std::string>& keys,
     co.reapSpawned();
     co.grantLeases();
     co.stealFromStragglers();
+    co.commit();  // this pass's done/fail records, before any checkpoint
     co.maybeCheckpoint(now, /*force=*/false);
 
     // Graceful degradation: no live worker for degrade_after_ms and a
@@ -719,6 +726,7 @@ FleetOutcome runFleet(const std::vector<std::string>& keys,
   }
 
   if (interrupted()) co.out.interrupted = true;
+  co.commit();
   if (!config.checkpoint_path.empty()) {
     if (co.out.interrupted) {
       // A last snapshot so a takeover after Ctrl-C is as informed as one

@@ -37,6 +37,17 @@
 //     hanging;
 //   * exec::interrupted() ends the loop between frames: BYE to everyone,
 //     spawned children reaped, partial outcome returned.
+//
+// Commit points. The callbacks write journal records without syncing;
+// on_commit makes them durable, and runFleet calls it at exactly four
+// points:
+//   1. just before each LEASE frame is sent, so a lease's `start`
+//      records are durable before any worker can run them;
+//   2. before each degraded in-process key runs — only an in-thread key
+//      can take down the journaling process;
+//   3. once per loop pass, before the checkpoint, so `done`/`fail`
+//      records are durable before any checkpoint names their keys;
+//   4. after the loop, before the final checkpoint and the return.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +117,9 @@ struct FleetConfig {
   /// Called exactly once per permanently failed key. May be null.
   std::function<void(const std::string& key, const std::string& error)>
       on_fail;
+  /// Makes everything the callbacks above recorded durable; called at
+  /// the commit points listed at the top of this file. May be null.
+  std::function<void()> on_commit;
   /// In-process fallback body for graceful degradation. May be null
   /// (then an unreachable fleet simply leaves keys pending).
   FleetBodyFn local_fn;

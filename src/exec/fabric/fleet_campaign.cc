@@ -49,18 +49,27 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
   const auto note = [log](const std::string& message) {
     if (log != nullptr) *log << "fleet: " << message << "\n";
   };
-  // Disk faults are contained, never fatal: a refused append costs
-  // durability (the in-memory result survives and the final merge
+  // Disk faults are contained, never fatal: a refused write or sync
+  // costs durability (the in-memory result survives and the final merge
   // rewrites everything), not the campaign.
-  const auto safeAppend = [&](CampaignJournal* j, RecordKind kind,
-                              const std::string& key,
-                              const std::string& payload) {
+  const auto safeWrite = [&](CampaignJournal* j, RecordKind kind,
+                             const std::string& key,
+                             const std::string& payload) {
     if (j == nullptr) return;
     try {
-      j->append(kind, key, payload);
+      j->write(kind, key, payload);
     } catch (const ConfigError& e) {
       ++out.exec.journal_write_errors;
-      note(strf("journal append refused (continuing): ", e.what()));
+      note(strf("journal write refused (continuing): ", e.what()));
+    }
+  };
+  const auto safeSync = [&](CampaignJournal* j) {
+    if (j == nullptr) return;
+    try {
+      j->sync();
+    } catch (const ConfigError& e) {
+      ++out.exec.journal_write_errors;
+      note(strf("journal sync refused (continuing): ", e.what()));
     }
   };
 
@@ -144,8 +153,9 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
     journal = std::make_unique<CampaignJournal>(options.journal_path,
                                                 options.journal_io);
     if (loaded_meta.empty() && !options.config_fingerprint.empty()) {
-      safeAppend(journal.get(), RecordKind::kMeta, "config",
-                 options.config_fingerprint);
+      safeWrite(journal.get(), RecordKind::kMeta, "config",
+                options.config_fingerprint);
+      safeSync(journal.get());
     }
   }
 
@@ -191,11 +201,11 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
     fleet.checkpoint_path = checkpoint_path;
     fleet.initial_attempts = initial_attempts;
     fleet.on_grant = [&](const std::string& key) {
-      safeAppend(journal.get(), RecordKind::kStart, key, "");
+      safeWrite(journal.get(), RecordKind::kStart, key, "");
       ++out.exec.dispatched;
     };
     fleet.on_result = [&](const FleetResult& r) {
-      safeAppend(shardFor(r.worker), RecordKind::kDone, r.key, r.payload);
+      safeWrite(shardFor(r.worker), RecordKind::kDone, r.key, r.payload);
       const auto it = seed_of.find(r.key);
       MPCP_CHECK(it != seed_of.end(),
                  "fleet returned unknown key '" << r.key << "'");
@@ -203,7 +213,7 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
       ++out.exec.completed;
     };
     fleet.on_fail = [&](const std::string& key, const std::string& error) {
-      safeAppend(journal.get(), RecordKind::kFail, key, error);
+      safeWrite(journal.get(), RecordKind::kFail, key, error);
       const auto it = seed_of.find(key);
       MPCP_CHECK(it != seed_of.end(),
                  "fleet failed unknown key '" << key << "'");
@@ -212,6 +222,10 @@ FleetCampaignOutcome runFleetCampaign(int seeds, std::uint64_t seed_base,
       failure.error = error;
       out.failures.push_back(std::move(failure));
       ++out.exec.failed;
+    };
+    fleet.on_commit = [&] {
+      safeSync(journal.get());
+      for (const auto& [worker, shard] : shards) safeSync(shard.get());
     };
 
     const FleetOutcome fo = runFleet(keys, fleet);

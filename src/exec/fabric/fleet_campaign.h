@@ -11,7 +11,13 @@
 //   * each worker gets its own shard journal
 //     `<shard_dir>/<worker>.journal` holding only its `done` records —
 //     workers never contend on one fd, and a torn shard tail costs at
-//     most that worker's last record.
+//     most that worker's last record;
+//   * records are written without a sync and made durable at the
+//     coordinator's four commit points (coordinator.h): before each
+//     LEASE is sent, before each degraded in-process key runs, once per
+//     loop pass before the checkpoint, and before runFleet returns. A
+//     commit syncs the main journal and every shard with pending
+//     records, so a lease of 64 starts costs one fsync, not 64.
 //
 // Merge contract: when every key completes, the main journal is
 // atomically rewritten (tmp + fsync + rename) as the canonical stream —
@@ -56,9 +62,10 @@ struct FleetCampaignOptions {
   /// Non-empty also enables periodic coordinator checkpoints there.
   std::string shard_dir;
   /// Disk seam for every journal/checkpoint/merge byte (ISSUE 10); null =
-  /// real syscalls. Injected faults are contained: failed appends bump
-  /// exec.journal_write_errors and the campaign carries on — results stay
-  /// in memory and the final merge still writes the canonical stream.
+  /// real syscalls. Injected faults are contained: failed writes and
+  /// syncs bump exec.journal_write_errors and the campaign carries on —
+  /// results stay in memory and the final merge still writes the
+  /// canonical stream.
   JournalIo* journal_io = nullptr;
   /// Fleet topology + timing. body_spec must be set; fingerprint and
   /// shard_dir are filled in from the fields above.

@@ -235,6 +235,7 @@ bool FaultyJournalIo::faulted(int fd) const {
 }
 
 long FaultyJournalIo::write(int fd, const void* data, std::size_t n) {
+  ++writes;
   if (!faulted(fd) || budget_bytes < 0) {
     const long w = JournalIo::write(fd, data, n);
     if (w > 0) bytes_written += w;
@@ -255,6 +256,7 @@ long FaultyJournalIo::write(int fd, const void* data, std::size_t n) {
 }
 
 int FaultyJournalIo::fsync(int fd) {
+  ++fsyncs;
   if (faulted(fd) && fsync_failures_after >= 0 &&
       fsync_calls_++ >= fsync_failures_after) {
     ++fsync_errors;
@@ -335,25 +337,43 @@ std::string formatRecord(RecordKind kind, const std::string& key,
   return crcHex(crc32(body)) + " " + body + "\n";
 }
 
-void CampaignJournal::append(RecordKind kind, const std::string& key,
-                             const std::string& payload) {
-  const std::string line = formatRecord(kind, key, payload);
+void CampaignJournal::write(RecordKind kind, const std::string& key,
+                            const std::string& payload) {
+  const std::string record = formatRecord(kind, key, payload);
 
   std::lock_guard<std::mutex> lock(mu_);
+  // A fragment left by a write that failed part-way has no newline;
+  // terminate it so this record is not glued onto it and lost with it.
+  const std::string line = torn_ ? "\n" + record : record;
   std::size_t off = 0;
   while (off < line.size()) {
     const long n = io_->write(fd_, line.data() + off, line.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (off > 0) torn_ = true;
       throw ConfigError("journal write to '" + path_ +
                         "' failed: " + std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
   }
+  torn_ = false;
+  unsynced_ = true;
+}
+
+void CampaignJournal::sync() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!unsynced_) return;
   if (io_->fsync(fd_) != 0 && errno != EINVAL && errno != EROFS) {
     throw ConfigError("journal fsync on '" + path_ +
                       "' failed: " + std::strerror(errno));
   }
+  unsynced_ = false;
+}
+
+void CampaignJournal::append(RecordKind kind, const std::string& key,
+                             const std::string& payload) {
+  write(kind, key, payload);
+  sync();
 }
 
 }  // namespace mpcp::exec

@@ -11,10 +11,17 @@
 // "<kind> <key> <escaped-payload>".
 //
 // Durability contract:
-//   * every append is a single write(2) followed by fsync(2), so a record
-//     either lands whole or not at all from the journal's point of view —
-//     a driver killed with SIGKILL mid-append leaves at most one torn
-//     line at the tail;
+//   * every record is a single write(2) — CampaignJournal::write — so a
+//     record either lands whole or not at all from the journal's point
+//     of view: a driver killed with SIGKILL mid-write leaves at most one
+//     torn line at the tail. After a write that failed part-way, the
+//     next record starts with '\n', so a contained disk fault costs the
+//     torn record (one corrupt line), never the record written after it;
+//   * durability comes at commit points: sync() issues one fsync(2)
+//     covering every record written since the previous sync. append() is
+//     write + sync, the per-record durability of runCampaign and the
+//     serial fuzz loop; the fleet coordinator writes freely and syncs at
+//     its commit points (see exec/fabric/coordinator.h);
 //   * the loader is torn-tail tolerant: a final line without a newline
 //     (any truncation offset inside the last record) is dropped silently
 //     and reported via JournalLoad::torn_tail;
@@ -130,6 +137,8 @@ class FaultyJournalIo : public JournalIo {
   std::string path_filter;
 
   // Observability for assertions.
+  std::uint64_t writes = 0;  ///< write calls, faulted or not
+  std::uint64_t fsyncs = 0;  ///< fsync calls, faulted or not
   std::int64_t bytes_written = 0;
   std::uint64_t write_errors = 0;
   std::uint64_t fsync_errors = 0;
@@ -157,9 +166,10 @@ class FaultyJournalIo : public JournalIo {
 void writeFileAtomic(const std::string& path, const std::string& bytes,
                      JournalIo* io = nullptr);
 
-/// Append handle. Thread-safe: concurrent appends from pool workers are
-/// serialized internally; each record is written + fsync'd before
-/// append() returns, so a completed run survives any subsequent crash.
+/// Append handle. Thread-safe: concurrent writers from pool workers are
+/// serialized internally. A record is durable once a sync() started
+/// after its write() has returned; append() returns only then, so a run
+/// it completed survives any subsequent crash.
 class CampaignJournal {
  public:
   /// Opens `path` for append, creating it. Throws ConfigError on failure.
@@ -171,6 +181,18 @@ class CampaignJournal {
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
+  /// Writes one record with a single write(2); it is not durable until
+  /// the next sync(). Throws ConfigError when the disk refuses it.
+  void write(RecordKind kind, const std::string& key,
+             const std::string& payload);
+
+  /// One fsync(2) covering every record written since the last
+  /// successful sync; a no-op when none is pending. Throws ConfigError
+  /// when fsync fails, leaving the records pending for the next sync.
+  void sync();
+
+  /// write + sync. Concurrent appends may share one fsync: a sync that
+  /// finds its record already covered returns without another.
   void append(RecordKind kind, const std::string& key,
               const std::string& payload);
 
@@ -181,6 +203,8 @@ class CampaignJournal {
   int fd_ = -1;
   JournalIo* io_ = nullptr;
   std::mutex mu_;
+  bool unsynced_ = false;  ///< records written since the last sync
+  bool torn_ = false;      ///< the last failed write left a fragment
 };
 
 }  // namespace mpcp::exec

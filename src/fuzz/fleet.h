@@ -5,10 +5,9 @@
 // RESULT payload. The coordinator keeps all campaign state: journaling,
 // shrinking, signature dedupe, and repro writing happen in one place,
 // exactly as in the serial path, so a resumed fleet campaign and a
-// serial campaign count findings the same way. (Unlike the sweep body,
-// fleet fuzz results are folded in *arrival* order — the set of
-// findings is deterministic per run index, but their report order can
-// differ across worker counts.)
+// serial campaign count findings the same way. Results fold through a
+// reorder buffer in run-index order, so the FINDING lines, the dups and
+// the repro files match a serial campaign at any worker count.
 //
 // Registration is explicit from main() (see exec/fabric/work.h for the
 // registry rationale); this header lives in src/fuzz/ so the dependency

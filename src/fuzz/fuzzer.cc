@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <system_error>
@@ -46,6 +48,14 @@ std::string sanitizeForFilename(std::string s) {
 
 /// Canonical campaign journal key for run index i.
 std::string fuzzRunKey(int index) { return strf("r", index); }
+
+/// Inverse of fuzzRunKey; false for anything else.
+bool parseFuzzRunKey(const std::string& key, int& index) {
+  if (key.size() < 2 || key[0] != 'r') return false;
+  const char* end = key.data() + key.size();
+  const auto [ptr, ec] = std::from_chars(key.data() + 1, end, index);
+  return ec == std::errc() && ptr == end;
+}
 
 /// Everything that shapes what a run index produces goes into the
 /// fingerprint; --runs, the time budget, and output paths deliberately
@@ -176,19 +186,24 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
 
   // Folds one executed run into the report: journal it, shrink, dedupe
   // by signature, write the repro. Shared between the serial batch loop
-  // (run order) and the fleet path (arrival order).
+  // and the fleet path, both in run order. The journal record is written
+  // here and synced by the caller: after every fold in the serial loop,
+  // at the coordinator's commit points in the fleet.
   const auto foldRow = [&](int run_index, const RunRow& row) {
     const std::string key = fuzzRunKey(run_index);
+    const auto record = [&](const std::string& payload) {
+      if (journal) journal->write(exec::RecordKind::kDone, key, payload);
+    };
     ++report.runs_executed;
     if (row.failures.empty()) {
-      if (journal) journal->append(exec::RecordKind::kDone, key, "clean");
+      record("clean");
       return;
     }
     ++report.systems_with_findings;
     if (static_cast<int>(report.findings.size()) >= options.max_findings) {
       // Keep counting, stop shrinking/writing. "overflow" (not "clean")
       // so the journal never claims a finding-bearing run was clean.
-      if (journal) journal->append(exec::RecordKind::kDone, key, "overflow");
+      record("overflow");
       return;
     }
 
@@ -243,8 +258,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         ++report.duplicate_findings;
         log << "  duplicate of known finding " << signature
             << " (repro not re-written)\n";
-        journal->append(exec::RecordKind::kDone, key,
-                        "finding " + signature + " dup");
+        record("finding " + signature + " dup");
         return;
       }
     }
@@ -279,9 +293,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
     } else {
       log << "  warning: could not write " << path << "\n";
     }
-    if (journal) {
-      journal->append(exec::RecordKind::kDone, key, "finding " + signature);
-    }
+    record("finding " + signature);
     report.findings.push_back(std::move(finding));
   };
 
@@ -290,6 +302,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
   // journal/dedupe/repro behavior matches the serial path.
   if (options.fleet_workers > 0 || !options.fleet_listen.empty()) {
     registerFuzzFleetBody();
+    std::vector<int> runs;
     std::vector<std::string> keys;
     for (int i = 0; i < options.runs; ++i) {
       const std::string key = fuzzRunKey(i);
@@ -297,8 +310,26 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         ++report.resumed_skips;
         continue;
       }
+      runs.push_back(i);
       keys.push_back(key);
     }
+
+    // Results arrive in completion order; a reorder buffer folds them in
+    // run order, so which run writes a repro and which counts as a dup
+    // does not depend on the worker count or timing. A failed or
+    // undecodable run parks an empty slot: it is a gap the fold steps
+    // over, never a stall.
+    std::map<int, std::optional<RunRow>> parked;
+    std::size_t next_run = 0;  // position in `runs` of the next fold
+    const auto park = [&](int index, std::optional<RunRow> row) {
+      parked[index] = std::move(row);
+      for (; next_run < runs.size(); ++next_run) {
+        const auto it = parked.find(runs[next_run]);
+        if (it == parked.end()) break;
+        if (it->second) foldRow(it->first, *it->second);
+        parked.erase(it);
+      }
+    };
 
     exec::fabric::FleetConfig fc;
     fc.listen = options.fleet_listen;
@@ -318,16 +349,18 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         (*exec::fabric::findFleetBodyKind("fuzz-v1"))(fc.body_spec);
     fc.on_result = [&](const exec::fabric::FleetResult& r) {
       int index = 0;
-      const char* begin = r.key.data() + 1;
-      const char* end = r.key.data() + r.key.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, index);
+      if (!parseFuzzRunKey(r.key, index)) {
+        log << "fleet: discarding result for unknown key '" << r.key
+            << "'\n";
+        return;
+      }
       FuzzRunOutcome outcome;
-      if (r.key.empty() || r.key[0] != 'r' || ec != std::errc() ||
-          ptr != end || !decodeFuzzRunOutcome(r.payload, outcome)) {
+      if (!decodeFuzzRunOutcome(r.payload, outcome)) {
         // Undecodable result: leave the key un-journaled so a resume
         // simply re-runs it.
         log << "fleet: discarding undecodable result for key '" << r.key
             << "'\n";
+        park(index, std::nullopt);
         return;
       }
       RunRow row;
@@ -335,15 +368,26 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
       row.failures = std::move(outcome.failures);
       row.system_text = std::move(outcome.system_text);
       row.fault_plan_text = std::move(outcome.fault_plan_text);
-      foldRow(index, row);
+      park(index, std::move(row));
     };
     fc.on_fail = [&](const std::string& key, const std::string& error) {
-      if (journal) journal->append(exec::RecordKind::kFail, key, error);
+      if (journal) journal->write(exec::RecordKind::kFail, key, error);
       log << "fleet: run " << key << " failed permanently: " << error
           << "\n";
+      int index = 0;
+      if (parseFuzzRunKey(key, index)) park(index, std::nullopt);
+    };
+    fc.on_commit = [&] {
+      if (journal) journal->sync();
     };
 
     const exec::fabric::FleetOutcome fo = exec::fabric::runFleet(keys, fc);
+    // An interrupt can leave finished runs parked behind an unfinished
+    // one; they are done, so fold them too.
+    for (const auto& [index, row] : parked) {
+      if (row) foldRow(index, *row);
+    }
+    if (journal) journal->sync();
     report.fleet = fo.counters;
     report.interrupted = fo.interrupted || exec::interrupted();
     report.elapsed_s = elapsed();
@@ -406,6 +450,7 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         break;  // un-journaled rows in this batch simply re-run on resume
       }
       foldRow(base + s, row);
+      if (journal) journal->sync();
     }
     if (report.interrupted) break;
   }

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/check.h"
@@ -214,6 +215,31 @@ TEST(JournalFaults, TornRecordAfterHealthyOnesIsJustATornTail) {
   std::remove(path.c_str());
 }
 
+TEST(JournalFaults, RefusedTornWriteDoesNotSwallowTheNextRecord) {
+  // A contained write failure leaves a fragment with no newline; the
+  // next record must start a fresh line instead of being glued onto the
+  // fragment and lost with it as one corrupt line.
+  const std::string r1 = formatRecord(RecordKind::kDone, "k1", "a");
+  const std::string path = tempPath("torn_then_good");
+  std::remove(path.c_str());
+  FaultyJournalIo io;
+  io.short_writes = true;
+  io.budget_bytes = static_cast<std::int64_t>(r1.size() + 7);
+  CampaignJournal j(path, &io);
+  j.append(RecordKind::kDone, "k1", "a");
+  EXPECT_THROW(j.append(RecordKind::kDone, "k2", "b"), ConfigError);
+  io.budget_bytes = -1;  // the disk recovers
+  j.append(RecordKind::kDone, "k3", "c");
+
+  const JournalLoad load = loadJournalFile(path);
+  ASSERT_EQ(load.records.size(), 2u);
+  EXPECT_EQ(load.records[0].key, "k1");
+  EXPECT_EQ(load.records[1].key, "k3");
+  EXPECT_EQ(load.corrupt_lines, 1u);
+  EXPECT_FALSE(load.torn_tail);
+  std::remove(path.c_str());
+}
+
 TEST(JournalFaults, FsyncFailureSurfacesAsConfigError) {
   const std::string path = tempPath("fsync");
   std::remove(path.c_str());
@@ -272,6 +298,65 @@ TEST(JournalFaults, AtomicWriteEnospcLeavesTargetUntouched) {
     ASSERT_TRUE(std::getline(f, line));
     EXPECT_EQ(line, "original contents");
   }
+  std::remove(path.c_str());
+}
+
+// --- commit points: write() now, one fsync per sync() --------------------
+
+TEST(JournalCommit, ManyWritesShareOneFsync) {
+  const std::string path = tempPath("group");
+  std::remove(path.c_str());
+  FaultyJournalIo io;  // no faults armed: counts only
+  CampaignJournal j(path, &io);
+  const std::size_t k = 5;
+  std::string expected;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::string key = std::string("s").append(std::to_string(i));
+    j.write(RecordKind::kStart, key, "");
+    expected += formatRecord(RecordKind::kStart, key, "");
+  }
+  EXPECT_EQ(io.writes, k) << "one write per record";
+  EXPECT_EQ(io.fsyncs, 0u) << "write() alone never syncs";
+  j.sync();
+  EXPECT_EQ(io.writes, k);
+  EXPECT_EQ(io.fsyncs, 1u);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, expected) << "same bytes as k appends";
+  EXPECT_EQ(loadJournalFile(path).records.size(), k);
+  std::remove(path.c_str());
+}
+
+TEST(JournalCommit, SyncWithNothingPendingIssuesNoFsync) {
+  const std::string path = tempPath("idle_sync");
+  std::remove(path.c_str());
+  FaultyJournalIo io;  // no faults armed: counts only
+  CampaignJournal j(path, &io);
+  j.sync();
+  EXPECT_EQ(io.fsyncs, 0u);
+  j.append(RecordKind::kDone, "k1", "a");
+  EXPECT_EQ(io.fsyncs, 1u);
+  j.sync();  // append already covered k1
+  EXPECT_EQ(io.fsyncs, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(JournalCommit, FailedSyncThrowsAndKeepsRecordsPending) {
+  const std::string path = tempPath("sync_fail");
+  std::remove(path.c_str());
+  FaultyJournalIo io;
+  io.fsync_failures_after = 0;
+  CampaignJournal j(path, &io);
+  j.write(RecordKind::kDone, "k1", "a");
+  j.write(RecordKind::kDone, "k2", "b");
+  EXPECT_THROW(j.sync(), ConfigError);
+  EXPECT_EQ(io.fsync_errors, 1u);
+  // Nothing was made durable, so the next sync tries again.
+  EXPECT_THROW(j.sync(), ConfigError);
+  EXPECT_EQ(io.fsync_errors, 2u);
+  EXPECT_EQ(loadJournalFile(path).records.size(), 2u);
   std::remove(path.c_str());
 }
 

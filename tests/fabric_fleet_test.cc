@@ -474,5 +474,98 @@ TEST_F(FabricFleet, EmptyKeysetFinishesImmediately) {
   EXPECT_FALSE(out.interrupted);
 }
 
+// --- commit points ---------------------------------------------------------
+
+/// The callback order of one runFleet: "grant <k>", "commit", "result <k>".
+struct CallbackLog {
+  std::mutex mu;
+  std::vector<std::string> events;
+
+  void add(const std::string& event) {
+    std::lock_guard<std::mutex> lock(mu);
+    events.push_back(event);
+  }
+
+  /// Wires on_grant/on_commit and wraps the config's on_result.
+  void attach(FleetConfig& config) {
+    config.on_grant = [this](const std::string& key) { add("grant " + key); };
+    config.on_commit = [this] { add("commit"); };
+    config.on_result = [this, inner = config.on_result](const FleetResult& r) {
+      add("result " + r.key);
+      inner(r);
+    };
+  }
+};
+
+/// Every result must follow a commit that came after its key's latest
+/// grant, and the last callback must be a commit.
+void expectResultsFollowCommits(const std::vector<std::string>& events) {
+  ASSERT_FALSE(events.empty());
+  std::map<std::string, bool> committed;
+  for (const std::string& e : events) {
+    if (e == "commit") {
+      for (auto& [key, ok] : committed) ok = true;
+    } else if (e.rfind("grant ", 0) == 0) {
+      committed[e.substr(6)] = false;
+    } else {
+      const std::string key = e.substr(7);  // "result "
+      ASSERT_TRUE(committed.count(key) != 0) << key << " was never granted";
+      EXPECT_TRUE(committed[key]) << key << "'s start was not committed";
+    }
+  }
+  EXPECT_EQ(events.back(), "commit");
+}
+
+TEST_F(FabricFleet, EveryResultFollowsACommitOfItsGrant) {
+  const std::string addr = tempSock("commit");
+  Collected got;
+  FleetConfig config = baseConfig(addr, &got);
+  config.lease_chunk = 16;
+  CallbackLog log;
+  log.attach(config);
+
+  int rc_a = -1;
+  int rc_b = -1;
+  std::thread a = workerThread(addr, "a", &rc_a);
+  std::thread b = workerThread(addr, "b", &rc_b);
+  const FleetOutcome out = runFleet(makeKeys(64), config);
+  a.join();
+  b.join();
+
+  EXPECT_EQ(out.completed, 64u);
+  EXPECT_EQ(got.payloads.size(), 64u);
+  expectResultsFollowCommits(log.events);
+}
+
+TEST_F(FabricFleet, DegradedKeyRunsOnlyAfterItsStartIsCommitted) {
+  const std::string addr = tempSock("commit_degrade");
+  Collected got;
+  FleetConfig config = baseConfig(addr, &got);
+  config.timing.degrade_after_ms = 100;
+  CallbackLog log;
+  log.attach(config);
+  config.local_fn = [&log](const std::string& key) {
+    {
+      std::lock_guard<std::mutex> lock(log.mu);
+      const std::vector<std::string>& ev = log.events;
+      EXPECT_GE(ev.size(), 2u);
+      if (ev.size() >= 2) {
+        EXPECT_EQ(ev[ev.size() - 2], "grant " + key);
+        EXPECT_EQ(ev.back(), "commit") << key << " ran uncommitted";
+      }
+    }
+    FleetResult r;
+    r.key = key;
+    r.ok = true;
+    r.payload = key + ",local";
+    return r;
+  };
+
+  const FleetOutcome out = runFleet(makeKeys(5), config);
+  EXPECT_EQ(out.completed, 5u);
+  EXPECT_EQ(out.counters.degraded_local_runs, 5u);
+  expectResultsFollowCommits(log.events);
+}
+
 }  // namespace
 }  // namespace mpcp::exec::fabric

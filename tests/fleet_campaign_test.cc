@@ -14,9 +14,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/check.h"
 #include "exec/fabric/checkpoint.h"
+#include "exec/fabric/work.h"
+#include "exec/fabric/worker.h"
 #include "exec/journal.h"
 
 namespace mpcp::exec::fabric {
@@ -303,6 +307,75 @@ TEST(FleetCampaign, ShardDiskFaultsAreContainedAndMergeStaysCanonical) {
   // Durability was lost, correctness was not: in-memory results survive
   // and the final merge rewrites the canonical bytes.
   EXPECT_EQ(readFile(o.journal_path), serialJournalBytes(3, 100));
+}
+
+TEST(FleetCampaign, ShardFsyncFailuresAreContainedAndMergeStaysCanonical) {
+  const std::string dir = tempDir("shard_fsync");
+  int executions = 0;
+  FleetCampaignOptions o = degradedOptions(dir, &executions);
+  FaultyJournalIo io;
+  io.fsync_failures_after = 0;  // every commit of the shard fails
+  io.path_filter = "local.journal";
+  o.journal_io = &io;
+
+  const FleetCampaignOutcome out = runFleetCampaign(3, 100, o);
+  ASSERT_TRUE(out.complete());
+  EXPECT_EQ(executions, 3);
+  EXPECT_GE(io.fsync_errors, 1u);
+  EXPECT_EQ(out.exec.journal_write_errors, io.fsync_errors);
+  EXPECT_EQ(readFile(o.journal_path), serialJournalBytes(3, 100));
+}
+
+// --- group commit over real worker links ---------------------------------
+
+TEST(FleetCampaign, GroupCommitSyncsLessThanOncePerRecord) {
+  static const bool registered = [] {
+    registerFleetBodyKind("fc-commit-v1", [](const std::string&) {
+      return FleetBodyFn([](const std::string& key) {
+        FleetResult r;
+        r.key = key;
+        r.ok = true;
+        r.payload = payloadFor(key);
+        return r;
+      });
+    });
+    return true;
+  }();
+  (void)registered;
+
+  const std::string dir = tempDir("group_commit");
+  FleetCampaignOptions o = degradedOptions(dir, nullptr);
+  o.fleet.body_spec = "fc-commit-v1";
+  o.fleet.timing.degrade_after_ms = 60000;  // the workers below must run it
+  o.fleet.timing.heartbeat_ms = 100;
+  o.fleet.local_fn = nullptr;
+  FaultyJournalIo io;  // no faults armed: counts only
+  o.journal_io = &io;
+
+  const int seeds = 256;
+  std::vector<std::thread> workers;
+  for (const char* name : {"a", "b"}) {
+    workers.emplace_back([&o, name] {
+      WorkerConfig w;
+      w.connect = o.fleet.listen;
+      w.name = name;
+      w.heartbeat_ms = 100;
+      (void)runWorker(w);
+    });
+  }
+  const FleetCampaignOutcome out = runFleetCampaign(seeds, 100, o);
+  for (std::thread& t : workers) t.join();
+
+  ASSERT_TRUE(out.complete());
+  EXPECT_EQ(out.fleet.degraded_local_runs, 0u);
+  const std::string merged = readFile(o.journal_path);
+  EXPECT_EQ(merged, serialJournalBytes(seeds, 100));
+  const std::size_t records = parseJournal(merged).records.size();
+  EXPECT_EQ(records, 1u + 2u * seeds);
+  // One write per record (plus the merge's one write); the syncs are
+  // shared by every record a lease or a loop pass produced.
+  EXPECT_GE(io.writes, records + 1);
+  EXPECT_LT(io.fsyncs, records);
 }
 
 TEST(FleetCampaign, SanitizesWorkerNamesForShardPaths) {
