@@ -7,7 +7,9 @@
 // puts vector-growth reallocation on the hot path. The arena carves them
 // out of a handful of large blocks instead: allocation is a pointer bump,
 // locality follows allocation order, and reset() recycles every block for
-// the next run without returning memory to the OS.
+// the next run without returning memory to the OS. Blocks are not
+// zero-filled: a caller that knows its total (the engine does) sizes the
+// first block to it and pays for exactly the bytes it carves.
 //
 // Not a general-purpose allocator: no per-object free, trivially-
 // destructible payloads only (nothing runs destructors), single-threaded.
@@ -94,7 +96,7 @@ class Arena {
         std::size_t size = next_block_bytes_;
         while (size < want) size *= 2;
         blocks_.push_back(
-            {std::make_unique<std::byte[]>(size), size, 0});
+            {std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
         next_block_bytes_ = size * 2;  // geometric growth
       }
       Block& b = blocks_[current_];

@@ -4,8 +4,10 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -94,6 +96,10 @@ double specDouble(const std::string& spec, const std::string& key) {
   const double value = std::strtod(text.c_str(), &end);
   if (end != text.c_str() + text.size() || text.empty()) {
     throw ConfigError("body spec '" + key + "' is not a number: '" + text +
+                      "'");
+  }
+  if (errno == ERANGE || !std::isfinite(value)) {
+    throw ConfigError("body spec '" + key + "' is out of range: '" + text +
                       "'");
   }
   return value;

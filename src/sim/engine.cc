@@ -11,7 +11,10 @@ namespace mpcp {
 
 Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
                SimConfig config)
-    : system_(system), protocol_(protocol), config_(config) {
+    : system_(system),
+      protocol_(protocol),
+      config_(config),
+      arena_(scratchBytes(system.processorCount())) {
   const int procs = system_.processorCount();
   ready_.resize(static_cast<std::size_t>(procs));
   running_.assign(static_cast<std::size_t>(procs), nullptr);
@@ -163,7 +166,21 @@ Engine::Engine(const TaskSystem& system, SyncProtocol& protocol,
     seg_[static_cast<std::size_t>(p)] = {};
     seg_end_[static_cast<std::size_t>(p)] = kTimeInfinity;
   }
+  MPCP_DCHECK(arena_.blockCount() == 1 &&
+                  arena_.bytesUsed() == scratchBytes(procs),
+              "Engine: arena scratch outgrew its first block");
   eager_ = config_.record_trace || armed_;
+}
+
+std::size_t Engine::scratchBytes(int procs) {
+  static_assert(alignof(Seg) <= alignof(std::uint64_t) &&
+                alignof(Time) <= alignof(std::uint64_t));
+  const auto p = static_cast<std::size_t>(procs);
+  // In carve order: dirty words, the two int32 signature arrays (together
+  // a multiple of 8 bytes), segments, segment ends. No padding falls
+  // between them.
+  return (p + 63) / 64 * sizeof(std::uint64_t) +
+         2 * p * sizeof(std::int32_t) + p * (sizeof(Seg) + sizeof(Time));
 }
 
 SimResult Engine::run() {

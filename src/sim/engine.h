@@ -377,8 +377,10 @@ class Engine {
   std::uint64_t susp_seq_ = 0;
 
   /// Per-run arena: fixed scratch buffers below are carved from it once
-  /// in the constructor; nothing allocates after setup.
+  /// in the constructor; nothing allocates after setup. Its one block
+  /// holds exactly scratchBytes(processors).
   Arena arena_;
+  [[nodiscard]] static std::size_t scratchBytes(int procs);
   std::uint64_t* proc_dirty_ = nullptr;  // dirty mask words
   std::size_t dirty_words_ = 0;
   /// Per-processor dispatch signature the current wait classifications

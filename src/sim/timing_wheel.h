@@ -18,11 +18,17 @@
 // drained batch (releases sort by task index, suspensions by sequence
 // number) before processing. drainAt() may only be called with
 // monotonically non-decreasing times, mirroring simulation time.
+//
+// Setup cost: the bucket-head array is left uninitialised. A head is
+// read only where the occupancy bitmap marks its slot live, so a run
+// touches the heads of the slots it uses and nothing else.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,10 +44,8 @@ class TimingWheel {
   static constexpr std::uint32_t kSlots = 1u << kSlotBits;  // window ticks
   static constexpr std::uint32_t kMask = kSlots - 1;
 
-  TimingWheel() {
-    bucket_head_.assign(kSlots, -1);
-    words_.assign(kSlots / 64, 0);
-  }
+  TimingWheel()
+      : bucket_head_(std::make_unique_for_overwrite<std::int32_t[]>(kSlots)) {}
 
   /// Preallocates node and overflow storage so steady-state schedule()
   /// calls perform no heap allocation.
@@ -85,8 +89,8 @@ class TimingWheel {
     }
     out.clear();
     const std::uint32_t s = static_cast<std::uint32_t>(t) & kMask;
+    if (!live(s)) return;
     std::int32_t n = bucket_head_[s];
-    if (n < 0) return;
     while (n >= 0) {
       Node& node = nodes_[static_cast<std::size_t>(n)];
       MPCP_DCHECK(node.t == t, "TimingWheel: bucket/time mismatch");
@@ -97,7 +101,6 @@ class TimingWheel {
       n = next;
       --size_;
     }
-    bucket_head_[s] = -1;
     clearBit(s);
     recomputeEarliest();
   }
@@ -109,6 +112,7 @@ class TimingWheel {
   bool cancel(Time t, Pred match) {
     if (t >= base_ && t - base_ < static_cast<Time>(kSlots)) {
       const std::uint32_t s = static_cast<std::uint32_t>(t) & kMask;
+      if (!live(s)) return false;
       std::int32_t* link = &bucket_head_[s];
       while (*link >= 0) {
         Node& node = nodes_[static_cast<std::size_t>(*link)];
@@ -169,10 +173,16 @@ class TimingWheel {
       nodes_.push_back({t, std::move(p), -1});
     }
     const std::uint32_t s = static_cast<std::uint32_t>(t) & kMask;
-    nodes_[static_cast<std::size_t>(idx)].next = bucket_head_[s];
+    nodes_[static_cast<std::size_t>(idx)].next =
+        live(s) ? bucket_head_[s] : -1;
     bucket_head_[s] = idx;
     words_[s >> 6] |= 1ull << (s & 63);
     summary_ |= 1ull << (s >> 6);
+  }
+
+  /// Whether slot `s` holds entries; only then is bucket_head_[s] valid.
+  [[nodiscard]] bool live(std::uint32_t s) const {
+    return (words_[s >> 6] >> (s & 63)) & 1;
   }
 
   void clearBit(std::uint32_t s) {
@@ -218,8 +228,10 @@ class TimingWheel {
 
   std::vector<Node> nodes_;
   std::int32_t free_head_ = -1;
-  std::vector<std::int32_t> bucket_head_;   // per slot, -1 = empty
-  std::vector<std::uint64_t> words_;        // occupancy bit per slot
+  /// Per slot: first node index, -1 ends the list. Valid only where
+  /// live(); the rest is uninitialised storage.
+  std::unique_ptr<std::int32_t[]> bucket_head_;
+  std::array<std::uint64_t, kSlots / 64> words_{};  // occupancy bit per slot
   std::uint64_t summary_ = 0;               // occupancy bit per word
   std::vector<OverflowEntry> overflow_;     // min-heap, t >= base_+kSlots
   Time base_ = 0;

@@ -128,6 +128,10 @@ WorkloadParams contendedParams() {
   return params;
 }
 
+/// operator-new calls of a whole simulate() (setup + run) of the
+/// SmallSystemSetupIsBounded system in a Release build.
+constexpr std::size_t kSmallSystemAllocs = 62;
+
 /// One measured run: setup (uncounted) then run() (counted). Returns the
 /// number of operator-new calls observed during run().
 std::size_t allocationsDuringRun(ProtocolKind kind, std::uint64_t seed) {
@@ -165,9 +169,9 @@ TEST(Allocation, ZeroPerRunAfterSetupAcrossProtocolSweep) {
   GTEST_SKIP() << "sanitizer build owns the allocator; shim compiled out";
 #else
   const ProtocolKind kinds[] = {
-      ProtocolKind::kNone, ProtocolKind::kNonePrio, ProtocolKind::kPip,
-      ProtocolKind::kPcp,  ProtocolKind::kMpcp,     ProtocolKind::kDpcp,
-      ProtocolKind::kSpinFifo, ProtocolKind::kSpinPrio};
+      ProtocolKind::kNone,   ProtocolKind::kNonePrio, ProtocolKind::kPip,
+      ProtocolKind::kPcp,    ProtocolKind::kMpcp,     ProtocolKind::kDpcp,
+      ProtocolKind::kHybrid, ProtocolKind::kSpinFifo, ProtocolKind::kSpinPrio};
   const std::uint64_t seeds[] = {101, 202, 303};
   for (ProtocolKind kind : kinds) {
     for (std::uint64_t seed : seeds) {
@@ -187,6 +191,46 @@ TEST(Allocation, ZeroPerRunAfterSetupAcrossProtocolSweep) {
 #endif
     }
   }
+#endif
+}
+
+TEST(Allocation, SmallSystemSetupIsBounded) {
+#ifdef MPCP_ALLOC_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer build owns the allocator; shim compiled out";
+#else
+  // Setup is counted here too: simulate() of one 2x2 system, the size
+  // mpcp_cli sweep's sweep-v1 body runs per key, must cost allocations in
+  // proportion to that system (held stacks share one slab, slots are
+  // sized to the estimate), not a fixed bill for a large one.
+  WorkloadParams params;
+  params.processors = 2;
+  params.tasks_per_processor = 2;
+  params.utilization_per_processor = 0.4;
+  params.global_resources = 2;
+  params.cs_max = 20;
+  Rng rng(1);
+  const TaskSystem system = generateWorkload(params, rng);
+  SimConfig config;
+  config.record_trace = false;
+  config.horizon = 2000;
+  // An uncounted first run initialises process-wide statics (the
+  // protocol registry), so the count does not depend on test order.
+  (void)simulate(ProtocolKind::kMpcp, system, config);
+
+  g_new_calls.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  SimResult result = simulate(ProtocolKind::kMpcp, system, config);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_GT(result.jobs.size(), 0u);
+  const std::size_t allocs = g_new_calls.load(std::memory_order_relaxed);
+#ifdef NDEBUG
+  EXPECT_LE(allocs, kSmallSystemAllocs)
+      << "simulate() of a 2x2 system allocated " << allocs << " times";
+#else
+  std::cout << "[ note ] simulate() of a 2x2 system: " << allocs
+            << " allocation(s) (asserted <= " << kSmallSystemAllocs
+            << " in Release builds)\n";
+#endif
 #endif
 }
 

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "exec/fabric/socket.h"
 #include "exec/fabric/wire.h"
 #include "exec/fabric/work.h"
@@ -565,6 +566,55 @@ TEST_F(FabricFleet, DegradedKeyRunsOnlyAfterItsStartIsCommitted) {
   EXPECT_EQ(out.completed, 5u);
   EXPECT_EQ(out.counters.degraded_local_runs, 5u);
   expectResultsFollowCommits(log.events);
+}
+
+// ----- spec-string helpers shared by the body kinds -----
+
+TEST(FleetBodySpec, SpecIntAcceptsOnlyWholeInt64Tokens) {
+  const std::string spec =
+      "k1 a=42 b=-7 c=12x d= e=9999999999999999999 f=+3 g=0x10";
+  EXPECT_EQ(specInt(spec, "a"), 42);
+  EXPECT_EQ(specInt(spec, "b"), -7);
+  EXPECT_THROW((void)specInt(spec, "c"), ConfigError);        // trailing junk
+  EXPECT_THROW((void)specInt(spec, "d"), ConfigError);        // empty
+  EXPECT_THROW((void)specInt(spec, "e"), ConfigError);        // > int64
+  EXPECT_THROW((void)specInt(spec, "f"), ConfigError);        // sign prefix
+  EXPECT_THROW((void)specInt(spec, "g"), ConfigError);        // hex
+  EXPECT_THROW((void)specInt(spec, "missing"), ConfigError);
+}
+
+TEST(FleetBodySpec, SpecDoubleRejectsOutOfRangeAndNonFinite) {
+  const std::string spec =
+      "k1 u=0.5 v=1e-3 w=-2 x=1e999 y=-1e999 z=inf m=-inf n=nan t=0.5x e=";
+  EXPECT_EQ(specDouble(spec, "u"), 0.5);
+  EXPECT_EQ(specDouble(spec, "v"), 1e-3);
+  EXPECT_EQ(specDouble(spec, "w"), -2.0);
+  for (const char* bad : {"x", "y", "z", "m", "n", "t", "e", "missing"}) {
+    EXPECT_THROW((void)specDouble(spec, bad), ConfigError) << bad;
+  }
+  // formatSpecDouble's %.17g round-trips bit-exactly.
+  for (const double d : {0.1, 0.45, 1.0 / 3.0, 1e300}) {
+    EXPECT_EQ(specDouble("k x=" + formatSpecDouble(d), "x"), d);
+  }
+}
+
+TEST(FleetBodySpec, SweepBodyRejectsNonFiniteUtilizationAtBuild) {
+  registerSweepFleetBody();
+  const FleetBodyFactory* factory = findFleetBodyKind("sweep-v1");
+  ASSERT_NE(factory, nullptr);
+  WorkloadParams params;
+  params.processors = 2;
+  params.tasks_per_processor = 2;
+  const std::string good = makeSweepBodySpec("mpcp", 1, 2000, params, 0);
+  const FleetBodyFn body = (*factory)(good);
+  EXPECT_TRUE(body("s5").ok);
+
+  const std::size_t at = good.find("util=") + 5;
+  const std::size_t end = good.find(' ', at);
+  for (const char* bad : {"1e999", "inf", "nan", "-1e999"}) {
+    const std::string spec = good.substr(0, at) + bad + good.substr(end);
+    EXPECT_THROW((void)(*factory)(spec), ConfigError) << spec;
+  }
 }
 
 }  // namespace

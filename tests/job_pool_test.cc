@@ -59,6 +59,8 @@ TEST(JobPool, SlotIsRecycledAndRemapped) {
 
 TEST(JobPool, RecycledJobIsFullyReset) {
   JobPool pool;
+  pool.configure(/*n_tasks=*/2, /*expected_slots=*/4, /*held_depth=*/1,
+                 /*per_task_reserve=*/1);
   Job& a = pool.allocate(jid(0));
   a.op_remaining = 42;
   a.executed = 17;
@@ -70,7 +72,7 @@ TEST(JobPool, RecycledJobIsFullyReset) {
   EXPECT_EQ(b.op_remaining, -1);
   EXPECT_EQ(b.executed, 0);
   EXPECT_TRUE(b.held.empty());
-  EXPECT_GE(b.held.capacity(), 1u);  // capacity survives recycling
+  EXPECT_EQ(b.held.capacity(), 1u);  // the slot's held slice is kept
   EXPECT_EQ(b.inherited, kPriorityFloor);
 }
 
@@ -87,6 +89,35 @@ TEST(JobPool, AddressesStableAcrossChunkGrowth) {
     EXPECT_EQ(pool.find(jid(i)), ptrs[static_cast<std::size_t>(i)]);
   }
   EXPECT_EQ(pool.liveCount(), static_cast<std::size_t>(n));
+}
+
+TEST(JobPool, HeldStacksAreDisjointSlicesOfTheStaticDepth) {
+  // Three configured slots, ten live jobs: seven land in overflow chunks,
+  // which get held slices of their own.
+  JobPool pool;
+  pool.configure(/*n_tasks=*/10, /*expected_slots=*/3, /*held_depth=*/2,
+                 /*per_task_reserve=*/1);
+  std::vector<Job*> jobs;
+  for (int i = 0; i < 10; ++i) {
+    Job& j = pool.allocate(jid(i));
+    EXPECT_EQ(j.held.capacity(), 2u);
+    EXPECT_TRUE(j.held.empty());
+    j.held.push_back(ResourceId(i));
+    j.held.push_back(ResourceId(100 + i));
+    jobs.push_back(&j);
+  }
+  EXPECT_EQ(pool.capacity(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    const Job& j = *jobs[static_cast<std::size_t>(i)];
+    EXPECT_EQ(pool.find(jid(i)), &j);
+    ASSERT_EQ(j.held.size(), 2u);
+    EXPECT_EQ(*j.held.begin(), ResourceId(i));
+    EXPECT_EQ(j.held.back(), ResourceId(100 + i));
+  }
+  // Nesting past the static depth is an engine bug, not silent growth.
+  EXPECT_THROW(jobs[9]->held.push_back(ResourceId(7)), InvariantError);
+  jobs[9]->held.pop_back();
+  EXPECT_EQ(jobs[9]->held.back(), ResourceId(9));
 }
 
 TEST(JobPool, LiveIterationIsReleaseOrder) {

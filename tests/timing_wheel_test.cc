@@ -122,6 +122,70 @@ TEST(TimingWheel, CancelRingAndOverflow) {
   EXPECT_TRUE(w.empty());
 }
 
+// The bucket-head array starts uninitialised: a head may be read only
+// where the occupancy bitmap marks its slot live. Building the wheel right
+// after a fully populated one was freed usually hands it that wheel's
+// stale heads, so every never-written slot below sits on garbage.
+TEST(TimingWheel, NeverWrittenSlotsAreEmpty) {
+  using Wheel = TimingWheel<int>;
+  {
+    Wheel dirty;
+    for (std::uint32_t s = 0; s < Wheel::kSlots; ++s) {
+      dirty.schedule(static_cast<Time>(s), static_cast<int>(s));
+    }
+  }
+  Wheel w;
+  const auto any = [](int) { return true; };
+  std::vector<int> out{99};
+  w.drainAt(0, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(w.cancel(0, any));
+  EXPECT_FALSE(w.cancel(5, any));
+  w.drainAt(7, out);
+  EXPECT_TRUE(out.empty());
+
+  w.schedule(9, 1);
+  w.schedule(9, 2);
+  w.schedule(12, 3);
+  EXPECT_FALSE(w.cancel(10, any));  // never-written neighbour
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.earliest(), 9);
+  w.drainAt(9, out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  w.drainAt(11, out);
+  EXPECT_TRUE(out.empty());
+  w.drainAt(12, out);
+  EXPECT_EQ(out, (std::vector<int>{3}));
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.earliest(), kTimeInfinity);
+}
+
+// A slot emptied by a drain or by cancelling its last entry keeps a stale
+// head; the next entry scheduled into it (same tick or a later lap) must
+// start a fresh list.
+TEST(TimingWheel, EmptiedSlotsStartFreshLists) {
+  const Time lap = static_cast<Time>(TimingWheel<int>::kSlots);
+  const auto any = [](int) { return true; };
+  TimingWheel<int> w;
+  std::vector<int> out;
+  w.schedule(3, 1);
+  w.drainAt(3, out);
+  EXPECT_EQ(out, (std::vector<int>{1}));
+  w.schedule(3 + lap, 2);  // same slot, next lap
+  w.drainAt(3 + lap, out);
+  EXPECT_EQ(out, (std::vector<int>{2}));
+
+  w.schedule(5 + lap, 3);
+  EXPECT_TRUE(w.cancel(5 + lap, [](int p) { return p == 3; }));
+  EXPECT_FALSE(w.cancel(5 + lap, any));
+  w.schedule(5 + lap, 4);
+  EXPECT_EQ(w.earliest(), 5 + lap);
+  w.drainAt(5 + lap, out);
+  EXPECT_EQ(out, (std::vector<int>{4}));
+  EXPECT_TRUE(w.empty());
+}
+
 TEST(TimingWheel, RandomizedAgainstReferenceHeap) {
   // 10k random schedule/drain/cancel operations, advancing time like the
   // engine does (always draining at the earliest pending tick).
