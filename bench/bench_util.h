@@ -50,11 +50,10 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// ----- baseline provenance -----
-// Every BENCH_*.json records where its numbers came from, so a baseline
-// comparison (tools/bench_diff) can tell an apples-to-apples regression
-// from a hardware change: bench_diff downgrades failures to warnings
-// when the CPU model differs from the baseline's.
+// ----- provenance -----
+// Every BENCH_*.json records where its numbers came from (commit, CPU
+// model, date), so two files can be compared like for like: a change of
+// CPU model explains a change of numbers.
 
 /// Commit the numbers were measured at: $GITHUB_SHA (Actions) or
 /// $MPCP_GIT_SHA (local override), else "unknown".

@@ -1,5 +1,7 @@
 #include "fuzz/repro.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -43,6 +45,24 @@ std::uint64_t finishHash(const SimResult& r) {
     mix(static_cast<std::uint64_t>(jr.finish));
   }
   return h;
+}
+
+ConfigError badHeader(int line_no, const std::string& key,
+                      const std::string& text) {
+  return ConfigError(strf("repro parse error at line ", line_no, ": bad ",
+                          key, " '", text, "'"));
+}
+
+/// `text` as one whole number token of type T (decimal for integers);
+/// a sign an unsigned type lacks, trailing bytes or overflow throw.
+template <typename T>
+T parseHeaderNumber(const std::string& text, int line_no,
+                    const std::string& key) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) throw badHeader(line_no, key, text);
+  return value;
 }
 
 }  // namespace
@@ -109,17 +129,21 @@ ReproCase parseRepro(const std::string& text) {
       }
       repro.mutation = *m;
     } else if (key == "seed") {
-      repro.seed = std::stoull(value);
+      repro.seed = parseHeaderNumber<std::uint64_t>(value, line_no, key);
     } else if (key == "horizon-cap") {
-      repro.horizon_cap = std::stoll(value);
+      repro.horizon_cap = parseHeaderNumber<Time>(value, line_no, key);
     } else if (key == "differential-horizon") {
-      repro.differential_horizon = std::stoll(value);
+      repro.differential_horizon =
+          parseHeaderNumber<Time>(value, line_no, key);
     } else if (key == "fault-plan") {
       repro.fault_plan = value;  // validated against the system below
     } else if (key == "fault-grace") {
-      repro.fault_grace = std::stod(value);
+      repro.fault_grace = parseHeaderNumber<double>(value, line_no, key);
+      if (!std::isfinite(repro.fault_grace) || repro.fault_grace <= 0) {
+        throw badHeader(line_no, key, value);
+      }
     } else if (key == "fault-watchdog") {
-      repro.fault_watchdog = std::stoll(value);
+      repro.fault_watchdog = parseHeaderNumber<Duration>(value, line_no, key);
     } else {
       throw ConfigError(strf("repro parse error at line ", line_no,
                              ": unknown header key '", key, "'"));

@@ -88,6 +88,32 @@ TEST(FuzzRepro, MalformedHeaderThrows) {
   std::string text = writeRepro(rc);
   text.insert(text.find("system"), "mutation no-such-mutation\n");
   EXPECT_THROW((void)parseRepro(text), ConfigError);
+
+  // Numeric headers are whole tokens: no wraparound, no trailing bytes,
+  // and a grace that is finite and positive. Each bad header lands on
+  // line 7, just before "system".
+  const std::string clean = writeRepro(rc);
+  for (const std::string header :
+       {"seed -1", "seed 12abc", "seed abc", "seed 18446744073709551616",
+        "horizon-cap 10x", "differential-horizon 1e3",
+        "fault-watchdog 5.0", "fault-grace nan", "fault-grace 1.5x",
+        "fault-grace inf", "fault-grace 0", "fault-grace -2"}) {
+    std::string bad = clean;
+    bad.insert(bad.find("system"), header + "\n");
+    const std::size_t space = header.find(' ');
+    const std::string expected =
+        "repro parse error at line 7: bad " + header.substr(0, space) +
+        " '" + header.substr(space + 1) + "'";
+    try {
+      (void)parseRepro(bad);
+      ADD_FAILURE() << "accepted '" << header << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+  std::string ok = clean;
+  ok.insert(ok.find("system"), "fault-grace 2.5\n");
+  EXPECT_EQ(parseRepro(ok).fault_grace, 2.5);
 }
 
 TEST(FuzzRepro, MissingFileThrows) {

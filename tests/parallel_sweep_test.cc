@@ -3,8 +3,8 @@
 // The load-bearing property: every sweep is bit-identical at any thread
 // count, because per-seed RNG streams derive from the seed index alone
 // and rows land in seed-indexed slots. These tests pin that contract at
-// 1, 2, and 8 threads, including through the real bench pipeline
-// (acceptanceSweep: generate -> analyze -> simulate).
+// 1, 2, and 8 threads, including per-seed simulation digests and the
+// real bench pipeline (acceptanceSweep: generate -> analyze -> simulate).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,16 +117,57 @@ TEST(SweepRunner, RngMatchesSerialSeedConvention) {
   }
 }
 
+/// FNV-1a over one simulation's observable outcome: finish, blocking and
+/// miss bit of every job record, in record order. Any scheduling
+/// divergence between two runs changes it.
+std::uint64_t scheduleDigest(const SimResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  mix(static_cast<std::uint64_t>(r.jobs.size()));
+  for (const JobRecord& jr : r.jobs) {
+    mix(static_cast<std::uint64_t>(jr.id.task.value()));
+    mix(static_cast<std::uint64_t>(jr.id.instance));
+    mix(static_cast<std::uint64_t>(jr.finish));
+    mix(static_cast<std::uint64_t>(jr.blocked));
+    mix(jr.missed ? 1 : 0);
+  }
+  return h;
+}
+
 TEST(SweepRunner, MapRowsLandInSeedOrderAtAnyThreadCount) {
   auto fn = [](int s, Rng& rng) {
     return rng.next() ^ static_cast<std::uint64_t>(s);
   };
+  // A real row: generate a contended 4x3 system and simulate it under
+  // MPCP, so the engine itself runs on every pool thread.
+  auto simulated = [](int, Rng& rng) {
+    WorkloadParams p;
+    p.processors = 4;
+    p.tasks_per_processor = 3;
+    p.utilization_per_processor = 0.45;
+    p.global_resources = 2;
+    p.max_gcs_per_task = 2;
+    p.global_sharing_prob = 0.9;
+    p.cs_max = 30;
+    return scheduleDigest(simulate(ProtocolKind::kMpcp,
+                                   generateWorkload(p, rng),
+                                   {.horizon_cap = 300'000,
+                                    .record_trace = false}));
+  };
   SweepRunner one(1);
   const std::vector<std::uint64_t> expected = one.map(257, 99, fn);
+  const std::vector<std::uint64_t> expected_sims =
+      one.map(40, 51'000, simulated);
   ASSERT_EQ(expected.size(), 257u);
+  ASSERT_EQ(expected_sims.size(), 40u);
   for (int threads : {2, 8}) {
     SweepRunner runner(threads);
     EXPECT_EQ(runner.map(257, 99, fn), expected)
+        << "at " << threads << " threads";
+    EXPECT_EQ(runner.map(40, 51'000, simulated), expected_sims)
         << "at " << threads << " threads";
   }
 }
