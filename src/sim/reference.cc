@@ -43,13 +43,18 @@ struct Semaphore {
 ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
                                   Time horizon, const fault::FaultPlan* plan,
                                   Duration holder_watchdog) {
-  // Wait mode: a blocked mpcp job suspends; a spin job busy-waits.
-  // Grant order: spin-fifo serves arrivals in order; mpcp and spin-prio
-  // serve the first highest base priority.
+  // Wait mode: a blocked mpcp or dpcp job suspends; a spin job
+  // busy-waits. Grant order: spin-fifo serves arrivals in order; the rest
+  // serve the first highest base priority. Under dpcp (message) a gcs
+  // runs on its semaphore's synchronization processor at the ceiling.
   bool spin = false;
   bool fifo = false;
+  bool message = false;
   switch (kind) {
     case ProtocolKind::kMpcp:
+      break;
+    case ProtocolKind::kDpcp:
+      message = true;
       break;
     case ProtocolKind::kSpinFifo:
       fifo = true;
@@ -59,20 +64,28 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
       break;
     default:
       throw ConfigError(
-          "reference: only mpcp, spin-fifo and spin-prio are simulated");
+          "reference: only mpcp, dpcp, spin-fifo and spin-prio are "
+          "simulated");
   }
   if (plan != nullptr && plan->empty()) plan = nullptr;
-  if (spin) {
+  if (spin || message) {
     if (plan != nullptr || holder_watchdog > 0) {
       throw ConfigError(
           "reference: faults and the holder watchdog are mirrored for mpcp "
           "only");
     }
-    // Same front-door contract as SpinProtocol: flat sections only.
+    // Spin: flat sections only, like SpinProtocol. Dpcp: no nesting that
+    // involves a global section (local PCP nests are fine).
     for (const Task& t : sys.tasks()) {
       for (const CriticalSection& cs : t.sections) {
         if (cs.parent < 0) continue;
-        throw ConfigError(strf("spin reference: nested critical section in ",
+        const ResourceId outer =
+            t.sections[static_cast<std::size_t>(cs.parent)].resource;
+        if (message && !sys.isGlobal(cs.resource) && !sys.isGlobal(outer)) {
+          continue;
+        }
+        throw ConfigError(strf(spin ? "spin" : "dpcp",
+                               " reference: nested critical section in ",
                                t.name, " (", cs.resource, ")"));
       }
     }
@@ -123,12 +136,23 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
     return !j.finished && j.wake_at < 0 && !j.parked_local &&
            (spin || !j.queued);
   };
+  // Processor a job competes on: its host, except that a dpcp job inside
+  // a gcs runs on the semaphore's synchronization processor.
+  const auto procOf = [&](const RJob& j) {
+    if (message) {
+      for (ResourceId r : j.held) {
+        if (sys.isGlobal(r)) return sys.resource(r).sync_processor->value();
+      }
+    }
+    return j.task->processor.value();
+  };
 
   // Effective priority. Spin: the non-preemptive band while spinning or
   // holding — any value above every task priority orders identically, so
   // the band base works (the engine uses globalBase + max urgency + 1).
   // MPCP: base, PCP inheritance (the inherited map, recomputed from
-  // scratch on demand), gcs elevation from held globals.
+  // scratch on demand), gcs elevation from held globals — gcsPriority on
+  // the host under mpcp, the full ceiling under dpcp.
   const Priority np = Priority(1).inGlobalBand(sys.globalBase());
   std::map<const RJob*, Priority> inherited;
   const auto effective = [&](const RJob& j) {
@@ -138,7 +162,8 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
     if (it != inherited.end()) pr = std::max(pr, it->second);
     for (ResourceId r : j.held) {
       if (sys.isGlobal(r)) {
-        pr = std::max(pr, tables.gcsPriority(r, j.task->processor));
+        pr = std::max(pr, message ? tables.ceiling(r)
+                                  : tables.gcsPriority(r, j.task->processor));
       }
     }
     return pr;
@@ -214,6 +239,9 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
     next->held.push_back(r);
     next->op++;
     next->queued = false;
+    if (message && procOf(*next) != next->task->processor.value()) {
+      result.counters.migrations++;
+    }
     // A suspended waiter re-enters the ready queue with a fresh arrival
     // stamp; a spinner never left it.
     if (!spin) next->eligible_seq = ++seq;
@@ -341,7 +369,7 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
         // Best ready job on p by effective priority, then FCFS.
         RJob* j = nullptr;
         for (RJob& c : jobs) {
-          if (!ready(c) || c.task->processor.value() != p) continue;
+          if (!ready(c) || procOf(c) != p) continue;
           if (j == nullptr) {
             j = &c;
             continue;
@@ -390,8 +418,7 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
               recomputeInheritance();
               const bool preempted =
                   std::any_of(jobs.begin(), jobs.end(), [&](const RJob& o) {
-                    return &o != j && ready(o) &&
-                           o.task->processor.value() == p &&
+                    return &o != j && ready(o) && procOf(o) == p &&
                            effective(o) > effective(*j);
                   });
               if (preempted) break;  // the re-run pass dispatches
@@ -399,12 +426,22 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
             if (queuedLock(l->resource)) {
               Semaphore& g = sems[l->resource.value()];
               if (g.holder == nullptr || g.holder == j) {
-                if (g.holder == nullptr) g.since = now;
+                const bool fresh = g.holder == nullptr;
+                if (fresh) g.since = now;
                 g.holder = j;
                 result.counters.res(l->resource).acquisitions++;
                 j->held.push_back(l->resource);
                 j->op++;
                 progressed = true;
+                if (message && fresh) {
+                  // The agent queues on the sync processor in request
+                  // order; once it has moved there, p re-picks.
+                  j->eligible_seq = ++seq;
+                  if (procOf(*j) != p) {
+                    result.counters.migrations++;
+                    break;
+                  }
+                }
                 continue;
               }
               g.queue.push_back(j);
@@ -459,6 +496,13 @@ ReferenceResult simulateReference(ProtocolKind kind, const TaskSystem& sys,
             Semaphore& g = sems[u.resource.value()];
             MPCP_CHECK(g.holder == j, "reference: non-holder unlock");
             releaseSemaphore(g, u.resource, now);
+            // A dpcp job returns home with its arrival stamp kept; p
+            // re-picks.
+            if (procOf(*j) != p) {
+              result.counters.migrations++;
+              progressed = true;
+              break;
+            }
           } else {
             // Blocking conditions changed: wake every parked job for a
             // retry, re-stamping arrival order exactly like the engine's

@@ -11,8 +11,10 @@
 //     and waking blocked jobs.
 // Only the *rules* are shared, which is exactly what a differential test
 // should hold constant. The supported protocols are two wait modes of
-// one family: under mpcp a blocked job suspends (Section 5's rules);
-// under spin-fifo / spin-prio it busy-waits non-preemptively.
+// one family: under mpcp and dpcp a blocked job suspends (Section 5's
+// rules; dpcp runs each gcs on its semaphore's synchronization processor
+// instead of the host); under spin-fifo / spin-prio it busy-waits
+// non-preemptively.
 //
 // O(horizon x jobs) instead of the engine's event-driven complexity, so
 // use it on small horizons.
@@ -38,15 +40,21 @@ struct ReferenceResult {
   std::vector<ReferenceJobResult> jobs;  ///< release order per task
   bool any_deadline_miss = false;
   /// Lock-path counters bumped at the same semantic sites as the engine
-  /// (grant, park, handoff), so acquisition/wait/handoff totals are
-  /// directly comparable across the two implementations.
+  /// (grant, park, handoff, agent migration), so acquisition/wait/
+  /// handoff/migration totals are directly comparable across the two
+  /// implementations.
   obs::Counters counters;
 };
 
 /// Simulates `system` under `kind`'s rules for `horizon` ticks.
 ///   * kMpcp: the full op set (compute/lock/unlock/suspend); requires
-///     non-nested global sections like MpcpProtocol. Waiters suspend;
-///     global queues grant by base priority.
+///     non-nested global sections like the mpcp protocol. Waiters
+///     suspend; global queues grant by base priority.
+///   * kDpcp: as kMpcp, but a granted or handed-off job runs its gcs on
+///     the semaphore's sync_processor at ceiling(S), leaving its host
+///     free; a grant restamps the job's FCFS arrival, the return home
+///     keeps the stamp. A nest involving a global section is a
+///     ConfigError.
 ///   * kSpinFifo / kSpinPrio: every semaphore is a spin lock; waiters
 ///     busy-wait at the non-preemptive band; grants go in arrival /
 ///     base-priority order. Nested sections are a ConfigError, exactly
@@ -61,7 +69,7 @@ struct ReferenceResult {
 /// has kept it that long, handing off to the highest-priority waiter —
 /// the reference half of the engine's watchdog containment policy.
 /// Faults and the watchdog are mirrored for kMpcp only; a non-empty plan
-/// or a watchdog with a spin kind is a ConfigError.
+/// or a watchdog with any other kind is a ConfigError.
 [[nodiscard]] ReferenceResult simulateReference(
     ProtocolKind kind, const TaskSystem& system, Time horizon,
     const fault::FaultPlan* plan = nullptr, Duration holder_watchdog = 0);

@@ -17,8 +17,8 @@
 namespace mpcp::testing {
 
 /// The engine run and the reference run agree on every job's finish
-/// time, on the deadline-miss flag, and on each resource's acquisition,
-/// contended-wait and handoff counters.
+/// time, on the deadline-miss flag, on each resource's acquisition,
+/// contended-wait and handoff counters, and on the agent migrations.
 inline void expectSameAsReference(const TaskSystem& sys,
                                   const SimResult& engine,
                                   const ReferenceResult& reference,
@@ -36,6 +36,8 @@ inline void expectSameAsReference(const TaskSystem& sys,
         << " engine=" << it->second << " reference=" << rj.finish;
   }
   EXPECT_EQ(engine.any_deadline_miss, reference.any_deadline_miss) << label;
+  EXPECT_EQ(engine.counters.migrations, reference.counters.migrations)
+      << label;
   for (const ResourceInfo& r : sys.resources()) {
     const obs::ResourceCounters& e = engine.counters.res(r.id);
     const obs::ResourceCounters& f = reference.counters.res(r.id);
