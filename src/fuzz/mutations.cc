@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/strf.h"
-#include "core/mpcp_protocol.h"
+#include "core/protocol_factory.h"
 #include "protocols/local_pcp.h"
 #include "protocols/sem_state.h"
 #include "protocols/spin.h"
@@ -14,7 +14,7 @@ namespace mpcp::fuzz {
 
 namespace {
 
-/// MpcpProtocol with the gcs elevation de-based: rule 3 assigns
+/// The mpcp protocol with the gcs elevation de-based: rule 3 assigns
 /// gcsPriority(S, host) - P_G, i.e. the highest remote-user priority in
 /// the *normal* band. Everything else (queueing, handoff, local PCP) is
 /// untouched, so only the ceiling-band oracles can tell the difference.
@@ -225,7 +225,7 @@ std::unique_ptr<SyncProtocol> makeMutatedProtocol(
     Mutation m, const TaskSystem& system, const PriorityTables& tables) {
   switch (m) {
     case Mutation::kNone:
-      return std::make_unique<MpcpProtocol>(system, tables);
+      return makeProtocol(ProtocolKind::kMpcp, system, tables);
     case Mutation::kGcsCeilingBase:
       return std::make_unique<GcsBaseFlippedMpcp>(system, tables);
     case Mutation::kSpinFifoLifo:

@@ -52,7 +52,7 @@ enum class Mutation {
 [[nodiscard]] const char* mutationTarget(Mutation m);
 
 /// Builds the mutated variant of mutationTarget(m) (kNone = the real
-/// MpcpProtocol). `system` and `tables` must outlive the result.
+/// mpcp protocol). `system` and `tables` must outlive the result.
 [[nodiscard]] std::unique_ptr<SyncProtocol> makeMutatedProtocol(
     Mutation m, const TaskSystem& system, const PriorityTables& tables);
 

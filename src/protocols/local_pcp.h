@@ -26,7 +26,7 @@ namespace mpcp {
 class Engine;
 
 /// PCP state for all processors' local semaphores. Not a SyncProtocol
-/// itself — PcpProtocol, MpcpProtocol and DpcpProtocol embed it.
+/// itself — PcpProtocol and HybridProtocol (mpcp, dpcp, hybrid) embed it.
 class LocalPcp {
  public:
   LocalPcp(const TaskSystem& system, const PriorityTables& tables);

@@ -11,7 +11,7 @@ PcpProtocol::PcpProtocol(const TaskSystem& system,
   if (system.hasGlobalResources()) {
     throw ConfigError(
         "PcpProtocol is a uniprocessor protocol: the task system has global "
-        "resources; use MpcpProtocol or DpcpProtocol");
+        "resources; use mpcp or dpcp");
   }
 }
 

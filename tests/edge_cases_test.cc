@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ceilings.h"
-#include "core/mpcp_protocol.h"
+#include "core/protocol_factory.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 #include "sim/engine.h"
@@ -107,8 +107,8 @@ TEST(EdgeCases, EngineRunTwiceThrows) {
              .body = Body{}.compute(1)});
   const TaskSystem sys = std::move(b).build();
   const PriorityTables tables(sys);
-  MpcpProtocol protocol(sys, tables);
-  Engine engine(sys, protocol, {.horizon = 20});
+  const auto protocol = makeProtocol(ProtocolKind::kMpcp, sys, tables);
+  Engine engine(sys, *protocol, {.horizon = 20});
   (void)engine.run();
   EXPECT_THROW((void)engine.run(), InvariantError);
 }

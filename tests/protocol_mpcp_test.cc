@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ceilings.h"
-#include "core/mpcp_protocol.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 #include "taskgen/paper_examples.h"
