@@ -204,13 +204,34 @@ InvariantReport checkGcsPriorityAssignment(const TaskSystem& system,
                                             const PriorityTables& tables,
                                             GcsPriorityRule rule) {
   InvariantReport report;
+  const bool message = rule == GcsPriorityRule::kMessageBased;
+  // Message-based: the global semaphores each job holds. A gcs entry
+  // pushes one; the holder's V() (kUnlock or kHandoff) pops it.
+  std::map<std::pair<std::int32_t, std::int64_t>, std::vector<ResourceId>>
+      open;
   for (const TraceEvent& e : result.trace) {
+    const auto key = std::make_pair(e.job.task.value(), e.job.instance);
+    if (message && (e.kind == Ev::kUnlock || e.kind == Ev::kHandoff)) {
+      const auto it = open.find(key);
+      if (it == open.end()) continue;
+      std::vector<ResourceId>& held = it->second;
+      const auto r = std::find(held.begin(), held.end(), e.resource);
+      if (r != held.end()) held.erase(r);
+      if (held.empty()) open.erase(it);
+      continue;
+    }
     if (e.kind != Ev::kGcsEnter) continue;
     const Task& task = system.task(e.job.task);
-    const Priority expected =
-        rule == GcsPriorityRule::kSharedMemory
-            ? tables.gcsPriority(e.resource, task.processor)
-            : tables.ceiling(e.resource);
+    Priority expected = kPriorityFloor;
+    if (message) {
+      std::vector<ResourceId>& held = open[key];
+      held.push_back(e.resource);
+      for (ResourceId r : held) {
+        expected = std::max(expected, tables.ceiling(r));
+      }
+    } else {
+      expected = tables.gcsPriority(e.resource, task.processor);
+    }
     if (e.priority != expected) {
       report.violations.push_back(strf(
           "t=", e.t, ": ", task.name, " entered gcs on ",

@@ -43,8 +43,10 @@ struct InvariantReport {
 
 /// Audits rule 3 / Section 4.4: every gcs entry's elevation equals the
 /// statically assigned value — gcsPriority(S, host) under the
-/// shared-memory protocol, ceiling(S) under the message-based one.
-/// Requires flat (non-nested) global sections.
+/// shared-memory protocol (flat global sections only), and under the
+/// message-based one the highest ceiling among the job's open global
+/// sections, S's included (a nested entry never drops below its outer
+/// sections' ceilings).
 enum class GcsPriorityRule { kSharedMemory, kMessageBased };
 [[nodiscard]] InvariantReport checkGcsPriorityAssignment(
     const TaskSystem& system, const SimResult& result,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ceilings.h"
+#include "core/analyzer.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 #include "test_util.h"
@@ -162,9 +163,35 @@ TEST(Dpcp, NestedGlobalAcrossSyncProcessorsRejected) {
                ConfigError);
 }
 
+/// Nested message-based sections on one sync processor: `a` takes G2
+/// (ceiling 9) inside G1 (ceiling 11) while a ceiling-10 agent for G3
+/// waits on P2.
+TaskSystem nestedBelowOuterCeiling() {
+  TaskSystemBuilder b(3, {.allow_nested_global = true});
+  const ResourceId g1 = b.addResource("G1");
+  const ResourceId g2 = b.addResource("G2");
+  const ResourceId g3 = b.addResource("G3");
+  b.addTask({.name = "h", .period = 40, .phase = 3, .processor = 1,
+             .body = Body{}.section(g1, 1).compute(1)});
+  b.addTask({.name = "a", .period = 200, .processor = 0,
+             .body = Body{}.compute(1).lock(g1).compute(1).section(g2, 10)
+                        .compute(1).unlock(g1).compute(1)});
+  b.addTask({.name = "m", .period = 60, .phase = 4, .processor = 1,
+             .body = Body{}.section(g3, 5).compute(1)});
+  b.addTask({.name = "bb", .period = 300, .phase = 150, .processor = 1,
+             .body = Body{}.section(g2, 1).compute(1)});
+  b.addTask({.name = "z", .period = 400, .phase = 300, .processor = 0,
+             .body = Body{}.section(g3, 1).compute(1)});
+  for (const ResourceId g : {g1, g2, g3}) {
+    b.assignSyncProcessor(g, ProcessorId(2));
+  }
+  return std::move(b).build();
+}
+
 TEST(Dpcp, GcsEntriesUseTheFullCeiling) {
   // Under the message-based protocol every gcs runs at the semaphore's
-  // global priority ceiling (Section 4.4 quoting [8]).
+  // global priority ceiling (Section 4.4 quoting [8]); a nested entry
+  // keeps the highest ceiling among the job's open sections.
   TaskSystemBuilder b(3);
   const ResourceId s = b.addResource("S");
   b.addTask({.name = "a", .period = 50, .processor = 0,
@@ -172,12 +199,43 @@ TEST(Dpcp, GcsEntriesUseTheFullCeiling) {
   b.addTask({.name = "c", .period = 70, .processor = 1,
              .body = Body{}.compute(2).section(s, 2).compute(1)});
   b.assignSyncProcessor(s, ProcessorId(2));
-  const TaskSystem sys = std::move(b).build();
-  const SimResult r = simulate(ProtocolKind::kDpcp, sys, {.horizon = 1000});
+  const TaskSystem flat = std::move(b).build();
+  const TaskSystem nested = nestedBelowOuterCeiling();
+  for (const TaskSystem* sys : {&flat, &nested}) {
+    const SimResult r = simulate(ProtocolKind::kDpcp, *sys, {.horizon = 1000});
+    const PriorityTables tables(*sys);
+    const InvariantReport rep = checkGcsPriorityAssignment(
+        *sys, r, tables, GcsPriorityRule::kMessageBased);
+    EXPECT_TRUE(rep.ok()) << rep.violations.front();
+  }
+}
+
+TEST(Dpcp, NestedGrantKeepsTheOuterCeiling) {
+  // Granting the inner G2 must not drop `a` from G1's ceiling (11) to
+  // G2's (9): at 9 the ceiling-10 agent of `m` would preempt `a` while
+  // it still holds G1, and `h`, queued on G1, would wait out m's section
+  // too — past its analytical bound.
+  const TaskSystem sys = nestedBelowOuterCeiling();
   const PriorityTables tables(sys);
-  const InvariantReport rep = checkGcsPriorityAssignment(
-      sys, r, tables, GcsPriorityRule::kMessageBased);
-  EXPECT_TRUE(rep.ok()) << rep.violations.front();
+  const ResourceId g1(0), g2(1), g3(2);
+  ASSERT_EQ(tables.ceiling(g1), Priority(11));
+  ASSERT_EQ(tables.ceiling(g2), Priority(9));
+  ASSERT_EQ(tables.ceiling(g3), Priority(10));
+  const SimResult r = simulate(ProtocolKind::kDpcp, sys, {.horizon = 200});
+  const TaskId a(1), h(0);
+  int inner_entries = 0;
+  for (const TraceEvent& e : r.trace) {
+    if (e.kind != Ev::kGcsEnter || e.job.task != a || e.resource != g2) {
+      continue;
+    }
+    ++inner_entries;
+    EXPECT_EQ(e.priority, Priority(11)) << "t=" << e.t;
+  }
+  EXPECT_EQ(inner_entries, 1);
+  const ProtocolAnalysis analysis = analyzeUnder(ProtocolKind::kDpcp, sys);
+  const Duration bound = analysis.blocking[static_cast<std::size_t>(h.value())];
+  EXPECT_EQ(bound, 12);
+  EXPECT_LE(maxBlockedOf(r, h), bound);
 }
 
 TEST(Dpcp, MutualExclusionUnderContention) {
