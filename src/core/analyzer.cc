@@ -37,12 +37,13 @@ void foldBreakdowns(const std::vector<Breakdown>& all, ProtocolAnalysis& out) {
 
 ProtocolAnalysis analyzeHybrid(const SystemIndex& index,
                                const HybridPolicy& policy,
-                               const AnalyzerOptions& options) {
+                               const BlockingOptions& options,
+                               ProtocolKind kind) {
   const TaskSystem& system = index.system();
   const PriorityTables tables(system);
   ProtocolAnalysis out;
-  out.kind = ProtocolKind::kMpcp;  // closest kind tag; informational only
-  foldBreakdowns(hybridBlocking(index, tables, policy, options.mpcp), out);
+  out.kind = kind;
+  foldBreakdowns(hybridBlocking(index, tables, policy, options), out);
   addSelfSuspension(index, out.blocking, out.jitter);
   out.report = analyzeSchedulability(system, out.blocking, out.jitter);
   return out;
@@ -53,11 +54,21 @@ ProtocolAnalysis analyzeHybrid(const SystemIndex& index,
 ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
                               const AnalyzerOptions& options) {
   const SystemIndex index(system);
-  if (kind == ProtocolKind::kHybrid) {
-    ProtocolAnalysis out =
-        analyzeHybrid(index, defaultHybridPolicy(system), options);
-    out.kind = ProtocolKind::kHybrid;
-    return out;
+  switch (kind) {
+    case ProtocolKind::kMpcp:
+      return analyzeHybrid(index, HybridPolicy::allShared(system),
+                           options.mpcp, kind);
+    case ProtocolKind::kDpcp:
+      return analyzeHybrid(
+          index, HybridPolicy::allMessage(system),
+          {.include_deferred_execution =
+               options.dpcp.include_deferred_execution},
+          kind);
+    case ProtocolKind::kHybrid:
+      return analyzeHybrid(index, defaultHybridPolicy(system), options.mpcp,
+                           kind);
+    default:
+      break;
   }
 
   const PriorityTables tables(system);
@@ -74,13 +85,6 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
       out.jitter.assign(out.blocking.size(), 0);  // PCP jobs never suspend
       break;
     }
-    case ProtocolKind::kMpcp:
-      foldBreakdowns(MpcpBlockingAnalysis(index, tables, options.mpcp).all(),
-                     out);
-      break;
-    case ProtocolKind::kDpcp:
-      foldBreakdowns(dpcpBlocking(index, tables, options.dpcp), out);
-      break;
     case ProtocolKind::kSpinFifo:
     case ProtocolKind::kSpinPrio: {
       const auto breakdowns = spinBlocking(
@@ -105,7 +109,8 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
 ProtocolAnalysis analyzeHybrid(const TaskSystem& system,
                                const HybridPolicy& policy,
                                const AnalyzerOptions& options) {
-  return analyzeHybrid(SystemIndex(system), policy, options);
+  return analyzeHybrid(SystemIndex(system), policy, options.mpcp,
+                       ProtocolKind::kHybrid);
 }
 
 }  // namespace mpcp

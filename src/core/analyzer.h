@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "analysis/blocking_dpcp.h"
 #include "analysis/blocking_spin.h"
 #include "analysis/schedulability.h"
 #include "core/blocking.h"
@@ -17,7 +16,7 @@
 namespace mpcp {
 
 struct AnalyzerOptions {
-  BlockingOptions mpcp;       ///< MPCP factor options
+  BlockingOptions mpcp;       ///< MPCP (and hybrid) factor options
   DpcpBlockingOptions dpcp;   ///< DPCP factor options
   SpinBlockingOptions spin;   ///< spin-fifo / spin-prio factor options
 };
@@ -39,7 +38,7 @@ struct ProtocolAnalysis {
                                             const AnalyzerOptions& options = {});
 
 /// Analysis for the hybrid protocol (the conclusion's mixed variant):
-/// per-resource shared-memory/message-based policies.
+/// per-resource shared-memory/message-based policies. Tagged kHybrid.
 [[nodiscard]] ProtocolAnalysis analyzeHybrid(const TaskSystem& system,
                                              const HybridPolicy& policy,
                                              const AnalyzerOptions& options = {});

@@ -1,68 +1,15 @@
-// Cross-implementation equivalences that must hold by construction:
-// pure hybrid policies equal the dedicated analyses/protocols, and a
-// chaos sweep checks nothing crashes or violates mutual exclusion under
-// any protocol on randomly structured bodies.
+// Cross-protocol equivalences that must hold by construction, and a
+// chaos sweep that checks nothing crashes or violates mutual exclusion
+// under any protocol on randomly structured bodies.
 #include <gtest/gtest.h>
 
-#include "analysis/blocking_dpcp.h"
 #include "common/rng.h"
-#include "core/analyzer.h"
-#include "core/hybrid_blocking.h"
 #include "core/simulate.h"
 #include "taskgen/generator.h"
 #include "trace/invariants.h"
 
 namespace mpcp {
 namespace {
-
-TEST(Equivalence, AllMessageHybridBlockingEqualsDpcpBound) {
-  WorkloadParams p;
-  p.processors = 3;
-  p.tasks_per_processor = 3;
-  p.utilization_per_processor = 0.4;
-  p.global_resources = 3;
-  p.global_sharing_prob = 0.9;
-  p.cs_max = 25;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed * 211);
-    const TaskSystem sys = generateWorkload(p, rng);
-    const PriorityTables tables(sys);
-    const auto hybrid =
-        hybridBlocking(sys, tables, HybridPolicy::allMessage(sys));
-    const auto dpcp = dpcpBlocking(sys, tables);
-    for (const Task& t : sys.tasks()) {
-      const std::size_t i = static_cast<std::size_t>(t.id.value());
-      EXPECT_EQ(hybrid[i].total(), dpcp[i].total())
-          << t.name << " seed " << seed;
-      EXPECT_EQ(hybrid[i].local_lower_cs, dpcp[i].local_lower_cs);
-      EXPECT_EQ(hybrid[i].lower_gcs_queue, dpcp[i].lower_gcs_queue);
-      EXPECT_EQ(hybrid[i].host_agent_load, dpcp[i].host_agent_load);
-      // Hybrid splits DPCP's D3 into F3' (same-resource, higher-priority)
-      // + D3' (other-resource agents): the sum must match.
-      EXPECT_EQ(hybrid[i].higher_gcs_remote + hybrid[i].agent_interference,
-                dpcp[i].agent_interference)
-          << t.name << " seed " << seed;
-    }
-  }
-}
-
-TEST(Equivalence, AllSharedHybridAnalyzerEqualsMpcpAnalyzer) {
-  WorkloadParams p;
-  p.suspension_prob = 0.3;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed * 307);
-    const TaskSystem sys = generateWorkload(p, rng);
-    const ProtocolAnalysis mpcp_a = analyzeUnder(ProtocolKind::kMpcp, sys);
-    const ProtocolAnalysis hyb_a =
-        analyzeHybrid(sys, HybridPolicy::allShared(sys));
-    ASSERT_EQ(mpcp_a.blocking.size(), hyb_a.blocking.size());
-    for (std::size_t i = 0; i < mpcp_a.blocking.size(); ++i) {
-      EXPECT_EQ(mpcp_a.blocking[i], hyb_a.blocking[i]) << "seed " << seed;
-      EXPECT_EQ(mpcp_a.jitter[i], hyb_a.jitter[i]) << "seed " << seed;
-    }
-    EXPECT_EQ(mpcp_a.report.rta_all, hyb_a.report.rta_all);
-  }
-}
 
 TEST(Equivalence, ChaosSweepNoCrashNoMutexViolation) {
   // Randomly structured bodies (sections, suspensions, heavy sharing)

@@ -139,6 +139,19 @@ TEST(Hybrid, PureSharedBlockingMatchesMpcpBound) {
   }
 }
 
+TEST(Hybrid, AnalysisTagsTheCallersKind) {
+  const TaskSystem sys = twoGlobalSystem();
+  for (const ProtocolKind kind :
+       {ProtocolKind::kMpcp, ProtocolKind::kDpcp, ProtocolKind::kHybrid}) {
+    EXPECT_EQ(analyzeUnder(kind, sys).kind, kind) << toString(kind);
+  }
+  HybridPolicy custom = HybridPolicy::allShared(sys);
+  custom.set(ResourceId(1), GlobalPolicy::kMessageBased);
+  EXPECT_EQ(analyzeHybrid(sys, custom).kind, ProtocolKind::kHybrid);
+  EXPECT_EQ(analyzeHybrid(sys, HybridPolicy::allShared(sys)).kind,
+            ProtocolKind::kHybrid);
+}
+
 TEST(Hybrid, AnalysisSoundAgainstSimulation) {
   // Random workloads with a random policy split: accepted => no miss,
   // measured blocking <= bound.
