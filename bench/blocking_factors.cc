@@ -8,11 +8,12 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/blocking.h"
+#include "core/hybrid_blocking.h"
 #include "test_support.h"
 
 using namespace mpcp;
 using namespace mpcp::bench;
+using enum mpcp::BlockingFactor;
 
 namespace {
 
@@ -30,12 +31,12 @@ FactorMeans meanFactors(const WorkloadParams& params, int seeds,
     const PriorityTables tables(sys);
     const MpcpBlockingAnalysis analysis(sys, tables);
     for (const BlockingBreakdown& b : analysis.all()) {
-      m.f1 += static_cast<double>(b.local_lower_cs);
-      m.f2 += static_cast<double>(b.lower_gcs_queue);
-      m.f3 += static_cast<double>(b.higher_gcs_remote);
-      m.f4 += static_cast<double>(b.blocking_proc_gcs);
-      m.f5 += static_cast<double>(b.local_lower_gcs);
-      m.deferred += static_cast<double>(b.deferred_execution);
+      m.f1 += static_cast<double>(b[kLocalLowerCs]);
+      m.f2 += static_cast<double>(b[kLowerGcsQueue]);
+      m.f3 += static_cast<double>(b[kHigherGcsRemote]);
+      m.f4 += static_cast<double>(b[kBlockingProcGcs]);
+      m.f5 += static_cast<double>(b[kLocalLowerGcs]);
+      m.deferred += static_cast<double>(b[kDeferredExecution]);
       m.total += static_cast<double>(b.total());
       ++tasks;
     }
@@ -127,9 +128,9 @@ int main() {
       const MpcpBlockingAnalysis literal(sys, tables,
                                          {.paper_literal_factor5 = true});
       for (const Task& t : sys.tasks()) {
-        f5_min += static_cast<double>(tight.blocking(t.id).local_lower_gcs);
+        f5_min += static_cast<double>(tight.blocking(t.id)[kLocalLowerGcs]);
         f5_max +=
-            static_cast<double>(literal.blocking(t.id).local_lower_gcs);
+            static_cast<double>(literal.blocking(t.id)[kLocalLowerGcs]);
         b_min += static_cast<double>(tight.blocking(t.id).total());
         b_max += static_cast<double>(literal.blocking(t.id).total());
         ++tasks;

@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "analysis/schedulability.h"
-#include "core/blocking.h"
 #include "bench_util.h"
 #include "test_support.h"
 
@@ -40,10 +39,8 @@ int main() {
     for (int s = 0; s < kSeeds; ++s) {
       Rng rng(8000 + static_cast<std::uint64_t>(s));
       const TaskSystem sys = generateWorkload(p, rng);
-      const AnalyzerOptions no_def{
-          .mpcp = {.include_deferred_execution = false}};
-      const ProtocolAnalysis a0 =
-          analyzeUnder(ProtocolKind::kMpcp, sys, no_def);
+      const ProtocolAnalysis a0 = analyzeUnder(
+          ProtocolKind::kMpcp, sys, {.include_deferred_execution = false});
       const ProtocolAnalysis a1 = analyzeUnder(ProtocolKind::kMpcp, sys);
       for (std::size_t i = 0; i < a0.blocking.size(); ++i) {
         without += static_cast<double>(a0.blocking[i]);
@@ -72,10 +69,9 @@ int main() {
       Rng rng(8200 + static_cast<std::uint64_t>(s));
       const TaskSystem sys = generateWorkload(p, rng);
       with += analyzeUnder(ProtocolKind::kMpcp, sys).report.rta_all;
-      const AnalyzerOptions no_def{
-          .mpcp = {.include_deferred_execution = false}};
-      without +=
-          analyzeUnder(ProtocolKind::kMpcp, sys, no_def).report.rta_all;
+      without += analyzeUnder(ProtocolKind::kMpcp, sys,
+                              {.include_deferred_execution = false})
+                     .report.rta_all;
     }
     std::cout << cell(util, 12, 2)
               << cell(static_cast<double>(with) / kSeeds)
@@ -103,11 +99,10 @@ int main() {
   const TaskSystem sys = std::move(b).build();
 
   // Deferral-oblivious: MPCP blocking without the penalty, zero jitter.
-  const PriorityTables tables(sys);
-  const MpcpBlockingAnalysis oblivious_blocking(
-      sys, tables, {.include_deferred_execution = false});
+  const ProtocolAnalysis no_penalty = analyzeUnder(
+      ProtocolKind::kMpcp, sys, {.include_deferred_execution = false});
   std::vector<Duration> b0;
-  for (const BlockingBreakdown& bb : oblivious_blocking.all()) {
+  for (const BlockingBreakdown& bb : no_penalty.factors) {
     b0.push_back(bb.total());
   }
   const SchedulabilityReport oblivious = analyzeSchedulability(sys, b0);

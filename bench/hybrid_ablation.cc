@@ -15,11 +15,16 @@
 //                  tight task's section through P0 (D3'/D4' terms);
 //   hybrid       — hot message-based on a dedicated spare processor,
 //                  cold shared-memory: both pressures removed.
+//
+// Exits 1 unless the hybrid accepts at least as many seeds as the better
+// pure policy on every row, and, at hot cs = 1000, gives the tight tasks
+// a lower mean B than both pure policies.
+#include <algorithm>
+#include <array>
 #include <iostream>
 
 #include "bench_util.h"
 #include "common/strf.h"
-#include "core/hybrid_blocking.h"
 
 using namespace mpcp;
 using namespace mpcp::bench;
@@ -85,64 +90,76 @@ Scenario makeScenario(int procs, Duration hot_cs, Rng& rng) {
 int main() {
   constexpr int kSeeds = 30;
   constexpr int kProcs = 4;
+  constexpr Duration kDecomposedHotCs = 1000;
+  constexpr std::array<const char*, 3> kPolicies = {"pure-shared",
+                                                    "pure-msg", "hybrid"};
+
+  // The tight tasks' factor sums at kDecomposedHotCs, per policy.
+  struct TightSums {
+    double b = 0, f5 = 0, agents = 0;
+  };
+  std::array<TightSums, 3> tight{};
+  std::int64_t tights = 0;
+  bool ok = true;
 
   printHeader(
       "hybrid policy: hot resource message-based, cold shared (RTA "
       "acceptance)");
-  std::cout << cell("hot cs") << cell("pure-shared") << cell("pure-msg")
-            << cell("hybrid") << "\n";
+  std::cout << cell("hot cs");
+  for (const char* name : kPolicies) std::cout << cell(name);
+  std::cout << "\n";
   for (Duration hot_cs : {100, 300, 600, 1000, 1500}) {
-    int shared_ok = 0, msg_ok = 0, hybrid_ok = 0;
+    std::array<int, 3> accepted{};
     for (int s = 0; s < kSeeds; ++s) {
       Rng rng(11000 + static_cast<std::uint64_t>(s));
       const Scenario sc = makeScenario(kProcs, hot_cs, rng);
-      shared_ok += analyzeHybrid(sc.sys, HybridPolicy::allShared(sc.sys))
-                       .report.rta_all;
-      msg_ok += analyzeHybrid(sc.sys, HybridPolicy::allMessage(sc.sys))
-                    .report.rta_all;
       HybridPolicy mix = HybridPolicy::allShared(sc.sys);
       mix.set(sc.hot, GlobalPolicy::kMessageBased);
-      hybrid_ok += analyzeHybrid(sc.sys, mix).report.rta_all;
-    }
-    std::cout << cell(static_cast<std::int64_t>(hot_cs))
-              << cell(static_cast<double>(shared_ok) / kSeeds)
-              << cell(static_cast<double>(msg_ok) / kSeeds)
-              << cell(static_cast<double>(hybrid_ok) / kSeeds) << "\n";
-  }
-
-  printHeader("tight tasks' mean blocking decomposition (hot cs = 1000)");
-  {
-    double f5_sh = 0, b_sh = 0, b_msg = 0, b_hyb = 0, d_msg = 0;
-    std::int64_t tights = 0;
-    for (int s = 0; s < kSeeds; ++s) {
-      Rng rng(11000 + static_cast<std::uint64_t>(s));
-      const Scenario sc = makeScenario(kProcs, 1000, rng);
-      const PriorityTables tables(sc.sys);
-      const auto shared =
-          hybridBlocking(sc.sys, tables, HybridPolicy::allShared(sc.sys));
-      const auto message =
-          hybridBlocking(sc.sys, tables, HybridPolicy::allMessage(sc.sys));
-      HybridPolicy mix = HybridPolicy::allShared(sc.sys);
-      mix.set(sc.hot, GlobalPolicy::kMessageBased);
-      const auto hybrid = hybridBlocking(sc.sys, tables, mix);
-      for (const Task& t : sc.sys.tasks()) {
-        if (t.name.rfind("tight", 0) != 0) continue;
-        const std::size_t i = static_cast<std::size_t>(t.id.value());
-        f5_sh += static_cast<double>(shared[i].local_lower_gcs);
-        b_sh += static_cast<double>(shared[i].total());
-        b_msg += static_cast<double>(message[i].total());
-        d_msg += static_cast<double>(message[i].agent_interference +
-                                     message[i].host_agent_load);
-        b_hyb += static_cast<double>(hybrid[i].total());
-        ++tights;
+      const std::array<HybridPolicy, 3> policies = {
+          HybridPolicy::allShared(sc.sys), HybridPolicy::allMessage(sc.sys),
+          mix};
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const ProtocolAnalysis a = analyzeHybrid(sc.sys, policies[p]);
+        accepted[p] += a.report.rta_all;
+        if (hot_cs != kDecomposedHotCs) continue;
+        for (const Task& t : sc.sys.tasks()) {
+          if (t.name.rfind("tight", 0) != 0) continue;
+          using enum BlockingFactor;
+          const BlockingBreakdown& f =
+              a.factors[static_cast<std::size_t>(t.id.value())];
+          tight[p].b += static_cast<double>(f.total());
+          tight[p].f5 += static_cast<double>(f[kLocalLowerGcs]);
+          tight[p].agents +=
+              static_cast<double>(f[kAgentInterference] + f[kHostAgentLoad]);
+          tights += p == 0 ? 1 : 0;
+        }
       }
     }
-    const double n = static_cast<double>(tights);
-    std::cout << "  pure-shared: B = " << b_sh / n << " (F5 share "
-              << f5_sh / n << ")\n"
-              << "  pure-msg:    B = " << b_msg / n
-              << " (agent D3'+D4' share " << d_msg / n << ")\n"
-              << "  hybrid:      B = " << b_hyb / n << "\n";
+    std::cout << cell(static_cast<std::int64_t>(hot_cs));
+    for (const int n : accepted) {
+      std::cout << cell(static_cast<double>(n) / kSeeds);
+    }
+    std::cout << "\n";
+    if (accepted[2] < std::max(accepted[0], accepted[1])) {
+      std::cout << "CHECK FAILED: hybrid accepts fewer seeds than a pure "
+                   "policy at hot cs "
+                << hot_cs << "\n";
+      ok = false;
+    }
+  }
+
+  printHeader(strf("tight tasks' mean blocking decomposition (hot cs = ",
+                   kDecomposedHotCs, ")"));
+  const double n = static_cast<double>(tights);
+  for (std::size_t p = 0; p < kPolicies.size(); ++p) {
+    std::cout << "  " << cell(strf(kPolicies[p], ':'), 13)
+              << "B = " << tight[p].b / n << " (F5' share " << tight[p].f5 / n
+              << ", agent D3'+D4' share " << tight[p].agents / n << ")\n";
+  }
+  if (!(tight[2].b < tight[0].b && tight[2].b < tight[1].b)) {
+    std::cout << "CHECK FAILED: the hybrid's mean B is not below both pure "
+                 "policies'\n";
+    ok = false;
   }
 
   std::cout << "\nexpected shape: pure-shared collapses as the hot section\n"
@@ -150,5 +167,5 @@ int main() {
                "pure-message carries a constant cold-funnelling penalty;\n"
                "the hybrid tracks the best of both — the mixing benefit\n"
                "the paper's conclusion anticipates.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 
 #include "analysis/report.h"
 #include "core/analyzer.h"
-#include "core/blocking.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 
@@ -83,6 +82,7 @@ TaskSystem buildAvionics(Duration maintenance_wcet) {
 
 void report(const char* title, const TaskSystem& sys) {
   std::cout << "==================== " << title << " ====================\n";
+  BlockingBreakdown fcs;  // the control loop's factors under MPCP
   for (const ProtocolKind kind : {ProtocolKind::kMpcp, ProtocolKind::kDpcp}) {
     const ProtocolAnalysis analysis = analyzeUnder(kind, sys);
     std::cout << "--- " << toString(kind) << " ---\n"
@@ -91,23 +91,23 @@ void report(const char* title, const TaskSystem& sys) {
     std::cout << "simulation: "
               << (r.any_deadline_miss ? "DEADLINE MISS" : "no misses")
               << " over " << r.horizon << " ticks\n\n";
+    if (kind == ProtocolKind::kMpcp) fcs = analysis.factors[0];
   }
 
   // Per-factor blocking decomposition for the control loop under MPCP.
-  const PriorityTables tables(sys);
-  const MpcpBlockingAnalysis blocking(sys, tables);
-  const BlockingBreakdown& fcs = blocking.blocking(TaskId(0));
+  using enum BlockingFactor;
   std::cout << "fcs_loop MPCP blocking breakdown (Section 5.1):\n"
-            << "  F1 local lower-priority cs:      " << fcs.local_lower_cs
-            << "\n  F2 lower-priority gcs in queue:  " << fcs.lower_gcs_queue
+            << "  F1 local lower-priority cs:      " << fcs[kLocalLowerCs]
+            << "\n  F2 lower-priority gcs in queue:  " << fcs[kLowerGcsQueue]
             << "\n  F3 higher-priority remote gcs:   "
-            << fcs.higher_gcs_remote
+            << fcs[kHigherGcsRemote]
             << "\n  F4 blocking-processor gcs:       "
-            << fcs.blocking_proc_gcs
-            << "\n  F5 lower-priority local gcs:     " << fcs.local_lower_gcs
+            << fcs[kBlockingProcGcs]
+            << "\n  F5 lower-priority local gcs:     " << fcs[kLocalLowerGcs]
             << "\n  deferred-execution penalty:      "
-            << fcs.deferred_execution << "\n  total B_1:                       "
-            << fcs.total() << "\n\n";
+            << fcs[kDeferredExecution]
+            << "\n  total B_1:                       " << fcs.total()
+            << "\n\n";
 }
 
 }  // namespace
@@ -117,11 +117,10 @@ int main() {
 
   // The key MPCP promise: growing the maintenance task's *non-critical*
   // compute must not change anyone's blocking bound.
-  const TaskSystem big = buildAvionics(10'000);
-  const PriorityTables tables(big);
-  const MpcpBlockingAnalysis blocking(big, tables);
+  const ProtocolAnalysis big =
+      analyzeUnder(ProtocolKind::kMpcp, buildAvionics(10'000));
   std::cout << "maintenance WCET x5: fcs_loop B_1 is still "
-            << blocking.blocking(TaskId(0)).total()
+            << big.factors[0].total()
             << " (a function of critical sections only)\n";
   return 0;
 }

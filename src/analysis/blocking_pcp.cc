@@ -4,25 +4,25 @@
 
 namespace mpcp {
 
-std::vector<Duration> pcpBlocking(const TaskSystem& system,
-                                  const PriorityTables& tables) {
+std::vector<BlockingBreakdown> pcpBlocking(const TaskSystem& system,
+                                           const PriorityTables& tables) {
   return pcpBlocking(SystemIndex(system), tables);
 }
 
-std::vector<Duration> pcpBlocking(const SystemIndex& index,
-                                  const PriorityTables& tables) {
+std::vector<BlockingBreakdown> pcpBlocking(const SystemIndex& index,
+                                           const PriorityTables& tables) {
   const TaskSystem& system = index.system();
   if (system.hasGlobalResources()) {
     throw ConfigError(
         "pcpBlocking: PCP is a uniprocessor protocol; the system has global "
         "resources");
   }
-  std::vector<Duration> blocking;
-  blocking.reserve(system.tasks().size());
+  std::vector<BlockingBreakdown> out(system.tasks().size());
   for (const Task& ti : system.tasks()) {
-    blocking.push_back(index.maxLowerLocalCs(ti, tables));
+    out[static_cast<std::size_t>(ti.id.value())]
+       [BlockingFactor::kLocalLowerCs] = index.maxLowerLocalCs(ti, tables);
   }
-  return blocking;
+  return out;
 }
 
 }  // namespace mpcp

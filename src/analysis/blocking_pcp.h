@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "analysis/blocking_factors.h"
 #include "analysis/ceilings.h"
 #include "analysis/system_index.h"
 #include "common/types.h"
@@ -16,11 +17,12 @@
 
 namespace mpcp {
 
-/// B_i for every task under per-processor PCP. Only valid when the system
-/// has no global resources (throws ConfigError otherwise).
-[[nodiscard]] std::vector<Duration> pcpBlocking(const TaskSystem& system,
-                                                const PriorityTables& tables);
-[[nodiscard]] std::vector<Duration> pcpBlocking(const SystemIndex& index,
-                                                const PriorityTables& tables);
+/// B_i for every task under per-processor PCP, as F1 alone. Only valid
+/// when the system has no global resources (throws ConfigError
+/// otherwise).
+[[nodiscard]] std::vector<BlockingBreakdown> pcpBlocking(
+    const TaskSystem& system, const PriorityTables& tables);
+[[nodiscard]] std::vector<BlockingBreakdown> pcpBlocking(
+    const SystemIndex& index, const PriorityTables& tables);
 
 }  // namespace mpcp

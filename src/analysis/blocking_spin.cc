@@ -16,8 +16,7 @@ namespace {
 /// outermost duration — exactly the group-lock collapse spin analysis
 /// assumes.
 Duration priorityOrderedWait(std::span<const ResourceUser> users,
-                             const ResourceUser& self,
-                             const SpinBlockingOptions& options) {
+                             const ResourceUser& self) {
   Duration max_any = 0;
   bool any_remote = false;
   for (const ResourceUser& u : users) {
@@ -28,7 +27,7 @@ Duration priorityOrderedWait(std::span<const ResourceUser> users,
   if (!any_remote) return 0;
 
   Duration w = max_any;
-  for (int it = 0; it < options.fixpoint_iteration_cap; ++it) {
+  for (int it = 0; it < kSpinFixpointIterationCap; ++it) {
     // Accumulate wide: a near-saturation wait times a request count can
     // overflow Duration before the clamp fires.
     __int128 next = max_any;
@@ -50,18 +49,19 @@ Duration priorityOrderedWait(std::span<const ResourceUser> users,
 
 }  // namespace
 
-std::vector<SpinBlockingBreakdown> spinBlocking(const TaskSystem& system,
-                                                bool priority_ordered,
-                                                SpinBlockingOptions options) {
+std::vector<BlockingBreakdown> spinBlocking(const TaskSystem& system,
+                                            bool priority_ordered,
+                                            BlockingOptions options) {
   return spinBlocking(SystemIndex(system), priority_ordered, options);
 }
 
-std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
-                                                bool priority_ordered,
-                                                SpinBlockingOptions options) {
+std::vector<BlockingBreakdown> spinBlocking(const SystemIndex& index,
+                                            bool priority_ordered,
+                                            BlockingOptions options) {
+  using enum BlockingFactor;
   const TaskSystem& system = index.system();
   const std::vector<Task>& tasks = system.tasks();
-  std::vector<SpinBlockingBreakdown> out(tasks.size());
+  std::vector<BlockingBreakdown> out(tasks.size());
   // Per task: the longest non-preemptive window it can open, i.e. the
   // max over its requests of (spin wait + section).
   std::vector<Duration> window(tasks.size(), 0);
@@ -88,17 +88,17 @@ std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
     for (const ResourceUser& u : users) {
       const Duration wait =
           priority_ordered
-              ? priorityOrderedWait(users, u, options)
+              ? priorityOrderedWait(users, u)
               : all_procs -
                     per_proc[static_cast<std::size_t>(u.processor.value())];
       const auto t = static_cast<std::size_t>(u.task.value());
-      out[t].spin_wait += u.requests * wait;
+      out[t][kSpinWait] += u.requests * wait;
       window[t] = std::max(window[t], wait + u.max_cs);
     }
   }
 
   for (const Task& ti : tasks) {
-    SpinBlockingBreakdown& b = out[ti.id.value()];
+    BlockingBreakdown& b = out[ti.id.value()];
 
     // A: at each of the (1 + voluntary suspensions) points where the job
     // becomes ready, at most one lower-priority local task can occupy the
@@ -110,7 +110,7 @@ std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
       worst = std::max(worst, window[static_cast<std::size_t>(tl.value())]);
     }
     const int points = 1 + index.profile(ti.id).voluntary_suspensions;
-    b.arrival_blocking = points * worst;
+    b[kArrivalBlocking] = points * worst;
 
     // Deferred execution: a suspending higher-priority local task can
     // compress one extra burst — its computation plus its spin occupancy
@@ -118,9 +118,9 @@ std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
     if (options.include_deferred_execution) {
       for (TaskId th : index.higherLocal(ti)) {
         if (index.profile(th).voluntary_suspensions == 0) continue;
-        b.deferred_execution += system.task(th).wcet +
-                                out[static_cast<std::size_t>(th.value())]
-                                    .spin_wait;
+        b[kDeferredExecution] +=
+            system.task(th).wcet +
+            out[static_cast<std::size_t>(th.value())][kSpinWait];
       }
     }
   }
@@ -128,11 +128,11 @@ std::vector<SpinBlockingBreakdown> spinBlocking(const SystemIndex& index,
 }
 
 std::vector<Duration> spinInflation(
-    const std::vector<SpinBlockingBreakdown>& breakdowns) {
+    const std::vector<BlockingBreakdown>& breakdowns) {
   std::vector<Duration> out;
   out.reserve(breakdowns.size());
-  for (const SpinBlockingBreakdown& b : breakdowns) {
-    out.push_back(b.spin_wait);
+  for (const BlockingBreakdown& b : breakdowns) {
+    out.push_back(b[BlockingFactor::kSpinWait]);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 // Worst-case blocking bounds for the non-preemptive spin protocols
-// (spin-fifo / spin-prio), structured to mirror the MPCP/DPCP factor
-// style so the shoot-out experiment can compare term by term:
+// (spin-fifo / spin-prio), filling the same BlockingBreakdown as the
+// MPCP/DPCP analyses (analysis/blocking_factors.h), so the shoot-out
+// experiment can compare term by term:
 //
 //  S   Spin wait — per request on semaphore S, the busy-wait until the
 //      grant. FIFO (MSRP): at most one earlier request per *remote*
@@ -35,48 +36,35 @@
 
 #include <vector>
 
+#include "analysis/blocking_factors.h"
 #include "analysis/system_index.h"
 #include "common/types.h"
 #include "model/task_system.h"
 
 namespace mpcp {
 
-struct SpinBlockingBreakdown {
-  Duration spin_wait = 0;         ///< S: total busy-wait over all requests
-  Duration arrival_blocking = 0;  ///< A: non-preemptive arrival windows
-  Duration deferred_execution = 0;
-
-  [[nodiscard]] Duration total() const {
-    return spin_wait + arrival_blocking + deferred_execution;
-  }
-  /// Spin jobs never suspend on a lock — no remote-suspension jitter.
-  [[nodiscard]] Duration remoteSuspension() const { return 0; }
-};
-
-struct SpinBlockingOptions {
-  bool include_deferred_execution = true;
-  /// Iterations before the priority-ordered fixpoint is declared
-  /// divergent and saturated.
-  int fixpoint_iteration_cap = 64;
-};
-
 /// The saturated per-request bound a divergent priority-ordered fixpoint
 /// collapses to. Large enough to fail every test, small enough that
 /// summing per-task terms cannot overflow Duration.
 inline constexpr Duration kSpinBoundSaturated = Duration{1} << 40;
 
-/// Bounds for every task, indexed by TaskId. `priority_ordered` selects
-/// spin-prio's grant order (false = FIFO / MSRP).
-[[nodiscard]] std::vector<SpinBlockingBreakdown> spinBlocking(
-    const TaskSystem& system, bool priority_ordered,
-    SpinBlockingOptions options = {});
-[[nodiscard]] std::vector<SpinBlockingBreakdown> spinBlocking(
-    const SystemIndex& index, bool priority_ordered,
-    SpinBlockingOptions options = {});
+/// Iterations before the priority-ordered fixpoint is declared divergent
+/// and saturated.
+inline constexpr int kSpinFixpointIterationCap = 64;
 
-/// Per-task interference inflation (== spin_wait) for
-/// analyzeSchedulability's inflation span.
+/// Bounds for every task, indexed by TaskId: S, A and the penalty.
+/// `priority_ordered` selects spin-prio's grant order (false = FIFO /
+/// MSRP). paper_literal_factor5 does not apply.
+[[nodiscard]] std::vector<BlockingBreakdown> spinBlocking(
+    const TaskSystem& system, bool priority_ordered,
+    BlockingOptions options = {});
+[[nodiscard]] std::vector<BlockingBreakdown> spinBlocking(
+    const SystemIndex& index, bool priority_ordered,
+    BlockingOptions options = {});
+
+/// Per-task interference inflation (== S) for analyzeSchedulability's
+/// inflation span.
 [[nodiscard]] std::vector<Duration> spinInflation(
-    const std::vector<SpinBlockingBreakdown>& breakdowns);
+    const std::vector<BlockingBreakdown>& breakdowns);
 
 }  // namespace mpcp

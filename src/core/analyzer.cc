@@ -1,5 +1,8 @@
 #include "core/analyzer.h"
 
+#include <span>
+#include <utility>
+
 #include "analysis/blocking_pcp.h"
 #include "analysis/system_index.h"
 #include "common/check.h"
@@ -10,88 +13,59 @@ namespace mpcp {
 
 namespace {
 
-/// A job's own voluntary suspension delays it exactly like blocking (it
-/// is not executing and not preempted), and defers its remaining
-/// computation (jitter for lower-priority neighbours). Fold it into both
-/// vectors.
-void addSelfSuspension(const SystemIndex& index,
-                       std::vector<Duration>& blocking,
-                       std::vector<Duration>& jitter) {
-  const std::vector<TaskProfile>& profiles = index.profiles();
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    blocking[i] += profiles[i].total_suspension;
-    jitter[i] += profiles[i].total_suspension;
-  }
-}
-
-/// B_i and remote-suspension jitter of every task, in TaskId order.
-template <typename Breakdown>
-void foldBreakdowns(const std::vector<Breakdown>& all, ProtocolAnalysis& out) {
-  out.blocking.reserve(all.size());
-  out.jitter.reserve(all.size());
-  for (const Breakdown& b : all) {
-    out.blocking.push_back(b.total());
-    out.jitter.push_back(b.remoteSuspension());
-  }
-}
-
-ProtocolAnalysis analyzeHybrid(const SystemIndex& index,
-                               const HybridPolicy& policy,
-                               const BlockingOptions& options,
-                               ProtocolKind kind) {
-  const TaskSystem& system = index.system();
-  const PriorityTables tables(system);
+/// Keeps `factors` and derives B_i and the jitter from them. A job's own
+/// voluntary suspension delays it exactly like blocking (it is not
+/// executing and not preempted), and defers its remaining computation
+/// (jitter for lower-priority neighbours), so it is folded into both.
+ProtocolAnalysis fold(ProtocolKind kind, const SystemIndex& index,
+                      std::vector<BlockingBreakdown> factors,
+                      std::span<const Duration> inflation = {}) {
   ProtocolAnalysis out;
   out.kind = kind;
-  foldBreakdowns(hybridBlocking(index, tables, policy, options), out);
-  addSelfSuspension(index, out.blocking, out.jitter);
-  out.report = analyzeSchedulability(system, out.blocking, out.jitter);
+  out.factors = std::move(factors);
+  const std::vector<TaskProfile>& profiles = index.profiles();
+  out.blocking.reserve(profiles.size());
+  out.jitter.reserve(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const Duration suspension = profiles[i].total_suspension;
+    out.blocking.push_back(out.factors[i].total() + suspension);
+    out.jitter.push_back(out.factors[i].remoteSuspension() + suspension);
+  }
+  out.report = analyzeSchedulability(index.system(), out.blocking,
+                                     out.jitter, inflation);
   return out;
 }
 
 }  // namespace
 
 ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
-                              const AnalyzerOptions& options) {
+                              const BlockingOptions& options) {
   const SystemIndex index(system);
-  switch (kind) {
-    case ProtocolKind::kMpcp:
-      return analyzeHybrid(index, HybridPolicy::allShared(system),
-                           options.mpcp, kind);
-    case ProtocolKind::kDpcp:
-      return analyzeHybrid(
-          index, HybridPolicy::allMessage(system),
-          {.include_deferred_execution =
-               options.dpcp.include_deferred_execution},
-          kind);
-    case ProtocolKind::kHybrid:
-      return analyzeHybrid(index, defaultHybridPolicy(system), options.mpcp,
-                           kind);
-    default:
-      break;
-  }
-
   const PriorityTables tables(system);
-  ProtocolAnalysis out;
-  out.kind = kind;
-  // Spin protocols: the busy-wait occupies the processor, so it must be
-  // charged to lower-priority neighbours as inflated interference, not
-  // just to the task's own B_i (see analyzeSchedulability).
-  std::vector<Duration> inflation;
-
   switch (kind) {
-    case ProtocolKind::kPcp: {
-      out.blocking = pcpBlocking(index, tables);
-      out.jitter.assign(out.blocking.size(), 0);  // PCP jobs never suspend
-      break;
-    }
+    case ProtocolKind::kPcp:
+      return fold(kind, index, pcpBlocking(index, tables));
+    case ProtocolKind::kMpcp:
+      return fold(kind, index,
+                  hybridBlocking(index, tables,
+                                 HybridPolicy::allShared(system), options));
+    case ProtocolKind::kDpcp:
+      return fold(kind, index,
+                  hybridBlocking(index, tables,
+                                 HybridPolicy::allMessage(system), options));
+    case ProtocolKind::kHybrid:
+      return fold(kind, index,
+                  hybridBlocking(index, tables, defaultHybridPolicy(system),
+                                 options));
     case ProtocolKind::kSpinFifo:
     case ProtocolKind::kSpinPrio: {
-      const auto breakdowns = spinBlocking(
-          index, kind == ProtocolKind::kSpinPrio, options.spin);
-      foldBreakdowns(breakdowns, out);  // jitter always 0: no suspension
-      inflation = spinInflation(breakdowns);
-      break;
+      // The busy-wait occupies the processor, so it must be charged to
+      // lower-priority neighbours as inflated interference, not just to
+      // the task's own B_i (see analyzeSchedulability).
+      auto factors =
+          spinBlocking(index, kind == ProtocolKind::kSpinPrio, options);
+      const std::vector<Duration> inflation = spinInflation(factors);
+      return fold(kind, index, std::move(factors), inflation);
     }
     default:
       throw ConfigError(strf(
@@ -99,18 +73,14 @@ ProtocolAnalysis analyzeUnder(ProtocolKind kind, const TaskSystem& system,
           toString(kind),
           "' — unbounded priority inversion (Section 3.3)"));
   }
-
-  addSelfSuspension(index, out.blocking, out.jitter);
-  out.report =
-      analyzeSchedulability(system, out.blocking, out.jitter, inflation);
-  return out;
 }
 
 ProtocolAnalysis analyzeHybrid(const TaskSystem& system,
                                const HybridPolicy& policy,
-                               const AnalyzerOptions& options) {
-  return analyzeHybrid(SystemIndex(system), policy, options.mpcp,
-                       ProtocolKind::kHybrid);
+                               const BlockingOptions& options) {
+  const SystemIndex index(system);
+  return fold(ProtocolKind::kHybrid, index,
+              hybridBlocking(index, PriorityTables(system), policy, options));
 }
 
 }  // namespace mpcp

@@ -6,24 +6,22 @@
 
 #include <vector>
 
+#include "analysis/blocking_factors.h"
 #include "analysis/blocking_spin.h"
 #include "analysis/schedulability.h"
-#include "core/blocking.h"
 #include "core/hybrid_blocking.h"
 #include "core/protocol_factory.h"
 #include "model/task_system.h"
 
 namespace mpcp {
 
-struct AnalyzerOptions {
-  BlockingOptions mpcp;       ///< MPCP (and hybrid) factor options
-  DpcpBlockingOptions dpcp;   ///< DPCP factor options
-  SpinBlockingOptions spin;   ///< spin-fifo / spin-prio factor options
-};
-
 /// Everything the analysis produced for one (system, protocol) pair.
 struct ProtocolAnalysis {
   ProtocolKind kind = ProtocolKind::kMpcp;
+  /// Per task, in TaskId order: B_i's factors before self-suspension.
+  /// blocking[i] = factors[i].total() + the task's self-suspension, and
+  /// jitter[i] = factors[i].remoteSuspension() + the same.
+  std::vector<BlockingBreakdown> factors;
   std::vector<Duration> blocking;  ///< B_i per task
   std::vector<Duration> jitter;    ///< remote-suspension jitter per task
   SchedulabilityReport report;     ///< Theorem 3 + RTA verdicts
@@ -35,12 +33,12 @@ struct ProtocolAnalysis {
 /// multiprocessors — the point of the paper is that no bound exists).
 [[nodiscard]] ProtocolAnalysis analyzeUnder(ProtocolKind kind,
                                             const TaskSystem& system,
-                                            const AnalyzerOptions& options = {});
+                                            const BlockingOptions& options = {});
 
 /// Analysis for the hybrid protocol (the conclusion's mixed variant):
 /// per-resource shared-memory/message-based policies. Tagged kHybrid.
 [[nodiscard]] ProtocolAnalysis analyzeHybrid(const TaskSystem& system,
                                              const HybridPolicy& policy,
-                                             const AnalyzerOptions& options = {});
+                                             const BlockingOptions& options = {});
 
 }  // namespace mpcp

@@ -4,6 +4,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/math_util.h"
 
 namespace mpcp {
@@ -88,17 +89,18 @@ Duration agentInterference(const SystemIndex& index,
 
 }  // namespace
 
-std::vector<HybridBlockingBreakdown> hybridBlocking(
+std::vector<BlockingBreakdown> hybridBlocking(
     const TaskSystem& sys, const PriorityTables& tables,
     const HybridPolicy& policy, BlockingOptions options) {
   return hybridBlocking(SystemIndex(sys), tables, policy, options);
 }
 
-std::vector<HybridBlockingBreakdown> hybridBlocking(
+std::vector<BlockingBreakdown> hybridBlocking(
     const SystemIndex& index, const PriorityTables& tables,
     const HybridPolicy& policy, BlockingOptions options) {
+  using enum BlockingFactor;
   const TaskSystem& sys = index.system();
-  std::vector<HybridBlockingBreakdown> out(sys.tasks().size());
+  std::vector<BlockingBreakdown> out(sys.tasks().size());
 
   const auto shared = [&](ResourceId r) { return sharedMode(policy, r); };
 
@@ -121,14 +123,13 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
       static_cast<std::size_t>(sys.processorCount()));
   for (const Task& ti : sys.tasks()) {
     const TaskProfile& pi = index.profile(ti.id);
-    HybridBlockingBreakdown& b =
-        out[static_cast<std::size_t>(ti.id.value())];
+    BlockingBreakdown& b = out[static_cast<std::size_t>(ti.id.value())];
     const auto is_local = [&](const ResourceUser& u) {
       return u.processor == ti.processor;
     };
 
     // ---- F1: local blocking, identical to MPCP.
-    b.local_lower_cs = index.localBlocking(ti, tables);
+    b[kLocalLowerCs] = index.localBlocking(ti, tables);
 
     // ---- F2': queue-head wait per access, mode-aware.
     for (const SectionUse& access : pi.global_sections) {
@@ -139,7 +140,7 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
         if (shared_mode && is_local(u)) continue;  // F5' covers these
         worst = std::max(worst, u.max_cs);
       }
-      b.lower_gcs_queue += worst;
+      b[kLowerGcsQueue] += worst;
     }
 
     // ---- F3': higher-priority interference on shared semaphores.
@@ -148,7 +149,7 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
         if (u.priority <= ti.priority) continue;
         // Host-local higher-priority shared-memory gcs = plain preemption.
         if (is_local(u) && shared(r)) continue;
-        b.higher_gcs_remote += ceilDiv(ti.period, u.period) * u.total;
+        b[kHigherGcsRemote] += ceilDiv(ti.period, u.period) * u.total;
       }
     }
 
@@ -180,7 +181,7 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
               shared_r ? tables.gcsPriority(r, pk) : tables.ceiling(r);
           if (e <= *slot) continue;
           if (u.priority > ti.priority && in_gs) continue;  // charged by F3'
-          b.blocking_proc_gcs += ceilDiv(ti.period, u.period) * u.total;
+          b[kBlockingProcGcs] += ceilDiv(ti.period, u.period) * u.total;
         }
       }
     }
@@ -193,11 +194,11 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
       const auto c = static_cast<Duration>(2 * s.count);
       const Duration count =
           options.paper_literal_factor5 ? std::max(a, c) : std::min(a, c);
-      b.local_lower_gcs += count * s.longest;
+      b[kLocalLowerGcs] += count * s.longest;
     }
 
     // ---- D3': agent interference on visited sync processors.
-    b.agent_interference = agentInterference(index, tables, policy, ti);
+    b[kAgentInterference] = agentInterference(index, tables, policy, ti);
 
     // ---- D4': message-mode gcs's of others executing on my host.
     for (ResourceId r : index.globals()) {
@@ -205,16 +206,36 @@ std::vector<HybridBlockingBreakdown> hybridBlocking(
       for (const ResourceUser& u : index.users(r)) {
         if (u.task == ti.id) continue;
         if (is_local(u) && u.priority > ti.priority) continue;  // preemption
-        b.host_agent_load += ceilDiv(ti.period, u.period) * u.total;
+        b[kHostAgentLoad] += ceilDiv(ti.period, u.period) * u.total;
       }
     }
 
     // ---- deferred execution.
     if (options.include_deferred_execution) {
-      b.deferred_execution = index.deferredExecution(ti);
+      b[kDeferredExecution] = index.deferredExecution(ti);
     }
   }
   return out;
+}
+
+MpcpBlockingAnalysis::MpcpBlockingAnalysis(const TaskSystem& system,
+                                           const PriorityTables& tables,
+                                           BlockingOptions options)
+    : breakdowns_(hybridBlocking(system, tables,
+                                 HybridPolicy::allShared(system), options)) {}
+
+const BlockingBreakdown& MpcpBlockingAnalysis::blocking(TaskId t) const {
+  MPCP_CHECK(t.valid() &&
+                 static_cast<std::size_t>(t.value()) < breakdowns_.size(),
+             "blocking(): unknown task " << t);
+  return breakdowns_[static_cast<std::size_t>(t.value())];
+}
+
+std::vector<BlockingBreakdown> dpcpBlocking(const TaskSystem& system,
+                                            const PriorityTables& tables,
+                                            BlockingOptions options) {
+  return hybridBlocking(system, tables, HybridPolicy::allMessage(system),
+                        options);
 }
 
 }  // namespace mpcp

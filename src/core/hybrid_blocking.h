@@ -3,8 +3,9 @@
 // blocking factors cover shared-memory-policy resources, the
 // message-based baseline's agent terms ([8], reconstructed for the
 // Section 5.2 comparison) cover message-based ones, and both pay the
-// deferred-execution penalty. The pure policies' named analyses
-// (core/blocking.h) are projections of hybridBlocking:
+// deferred-execution penalty. The pure policies' analyses are
+// hybridBlocking under allShared / allMessage, filling the same
+// BlockingBreakdown (analysis/blocking_factors.h):
 //   mpcp (allShared):  F1..F5 = F1, F2', F3', F4', F5'   (D3' = D4' = 0)
 //   dpcp (allMessage): D1 = F1, D2 = F2', D3 = F3' + D3', D4 = D4'
 //                      (F4' = F5' = 0)
@@ -105,6 +106,7 @@
 
 #include <vector>
 
+#include "analysis/blocking_factors.h"
 #include "analysis/ceilings.h"
 #include "analysis/system_index.h"
 #include "core/hybrid_protocol.h"
@@ -112,43 +114,34 @@
 
 namespace mpcp {
 
-struct BlockingOptions {
-  /// Use the paper text's literal max(NG_i + 1, 2*NG_l) in F5' instead of
-  /// the sound-and-tight min(.) (see header comment).
-  bool paper_literal_factor5 = false;
-  /// Include the deferred-execution penalty in total().
-  bool include_deferred_execution = true;
-};
-
-struct HybridBlockingBreakdown {
-  Duration local_lower_cs = 0;      ///< F1
-  Duration lower_gcs_queue = 0;     ///< F2'
-  Duration higher_gcs_remote = 0;   ///< F3'
-  Duration blocking_proc_gcs = 0;   ///< F4'
-  Duration local_lower_gcs = 0;     ///< F5' (shared-mode sections only)
-  Duration agent_interference = 0;  ///< D3'
-  Duration host_agent_load = 0;     ///< D4'
-  Duration deferred_execution = 0;  ///< penalty (0 when disabled)
-
-  [[nodiscard]] Duration total() const {
-    return local_lower_cs + lower_gcs_queue + higher_gcs_remote +
-           blocking_proc_gcs + local_lower_gcs + agent_interference +
-           host_agent_load + deferred_execution;
-  }
-  /// The suspension-driven part: how long the job can sit in global wait
-  /// queues or behind agents. Used as release jitter in the
-  /// response-time analysis of higher-priority tasks.
-  [[nodiscard]] Duration remoteSuspension() const {
-    return lower_gcs_queue + higher_gcs_remote + blocking_proc_gcs +
-           agent_interference;
-  }
-};
-
-[[nodiscard]] std::vector<HybridBlockingBreakdown> hybridBlocking(
+[[nodiscard]] std::vector<BlockingBreakdown> hybridBlocking(
     const TaskSystem& system, const PriorityTables& tables,
     const HybridPolicy& policy, BlockingOptions options = {});
-[[nodiscard]] std::vector<HybridBlockingBreakdown> hybridBlocking(
+[[nodiscard]] std::vector<BlockingBreakdown> hybridBlocking(
     const SystemIndex& index, const PriorityTables& tables,
     const HybridPolicy& policy, BlockingOptions options = {});
+
+/// The shared-memory protocol's Section 5.1 bounds: hybridBlocking under
+/// allShared. Requires non-nested global sections (same precondition as
+/// the protocol).
+class MpcpBlockingAnalysis {
+ public:
+  MpcpBlockingAnalysis(const TaskSystem& system, const PriorityTables& tables,
+                       BlockingOptions options = {});
+
+  [[nodiscard]] const BlockingBreakdown& blocking(TaskId t) const;
+  [[nodiscard]] const std::vector<BlockingBreakdown>& all() const {
+    return breakdowns_;
+  }
+
+ private:
+  std::vector<BlockingBreakdown> breakdowns_;
+};
+
+/// The message-based protocol's bounds (uses ResourceInfo::sync_processor):
+/// hybridBlocking under allMessage.
+[[nodiscard]] std::vector<BlockingBreakdown> dpcpBlocking(
+    const TaskSystem& system, const PriorityTables& tables,
+    BlockingOptions options = {});
 
 }  // namespace mpcp

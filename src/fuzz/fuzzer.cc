@@ -1,5 +1,6 @@
 #include "fuzz/fuzzer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -200,6 +201,16 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
       return;
     }
     ++report.systems_with_findings;
+    // Every distinct protocol:oracle the run tripped, in first-seen order.
+    std::vector<std::string> oracles;
+    for (const OracleFailure& f : row.failures) {
+      std::string name = f.protocol + ":" + f.oracle;
+      if (std::find(oracles.begin(), oracles.end(), name) != oracles.end()) {
+        continue;
+      }
+      ++report.oracle_runs[name];
+      oracles.push_back(std::move(name));
+    }
     if (static_cast<int>(report.findings.size()) >= options.max_findings) {
       // Keep counting, stop shrinking/writing. "overflow" (not "clean")
       // so the journal never claims a finding-bearing run was clean.
@@ -213,8 +224,11 @@ FuzzReport runFuzz(const FuzzOptions& options, std::ostream& log) {
         options.seed + static_cast<std::uint64_t>(run_index);
     finding.failure = row.failures.front();
     log << "FINDING run=" << finding.run_index
-        << " seed=" << finding.derived_seed << " ["
-        << finding.failure.protocol << "] " << finding.failure.oracle
+        << " seed=" << finding.derived_seed << " oracles=";
+    for (std::size_t i = 0; i < oracles.size(); ++i) {
+      log << (i == 0 ? "" : ",") << oracles[i];
+    }
+    log << " [" << finding.failure.protocol << "] " << finding.failure.oracle
         << ": " << finding.failure.details << "\n";
 
     TaskSystem sys = parseTaskSystemFromString(row.system_text);

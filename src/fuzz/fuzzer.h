@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,8 @@ struct FuzzFinding {
 struct FuzzReport {
   int runs_executed = 0;
   int systems_with_findings = 0;
+  /// Per "protocol:oracle": how many executed runs tripped it.
+  std::map<std::string, int> oracle_runs;
   std::vector<FuzzFinding> findings;
   double elapsed_s = 0;
   bool budget_exhausted = false;  ///< time budget ended the loop early

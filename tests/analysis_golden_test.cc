@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -169,7 +170,7 @@ void addReport(Fnv& h, const ProtocolAnalysis& a) {
 /// analyzeUnder report, or the ConfigError text if either rejects the
 /// system. Any other exception fails the test.
 void addCase(Fnv& h, ProtocolKind kind, const TaskSystem& sys,
-             const AnalyzerOptions& options,
+             const BlockingOptions& options,
              const std::function<void(Fnv&)>& breakdown_fields) {
   try {
     breakdown_fields(h);
@@ -179,69 +180,75 @@ void addCase(Fnv& h, ProtocolKind kind, const TaskSystem& sys,
   }
 }
 
+/// Hashes the listed factors of every task, in TaskId order. A factor
+/// group is hashed as its sum (dpcp's D3 is F3' + D3').
+void addFactors(
+    Fnv& h, const std::vector<BlockingBreakdown>& all,
+    std::initializer_list<std::initializer_list<BlockingFactor>> fields) {
+  for (const BlockingBreakdown& b : all) {
+    for (const auto& group : fields) {
+      Duration sum = 0;
+      for (const BlockingFactor f : group) sum += b[f];
+      h.add(sum);
+    }
+  }
+}
+
 struct Hashes {
   std::uint64_t pcp, mpcp, dpcp, hybrid, spin_fifo, spin_prio;
 };
 
 Hashes hashCorpus() {
+  using enum BlockingFactor;
   Fnv pcp, mpcp, dpcp, hybrid, spin_fifo, spin_prio;
   for (const TaskSystem& sys : corpus()) {
     const PriorityTables tables(sys);
     for (const bool literal_f5 : {false, true}) {
       for (const bool deferred : {false, true}) {
-        AnalyzerOptions o;
-        o.mpcp.paper_literal_factor5 = literal_f5;
-        o.mpcp.include_deferred_execution = deferred;
-        o.dpcp.include_deferred_execution = deferred;
-        o.spin.include_deferred_execution = deferred;
+        const BlockingOptions o{.paper_literal_factor5 = literal_f5,
+                                .include_deferred_execution = deferred};
 
         addCase(pcp, ProtocolKind::kPcp, sys, o, [&](Fnv& h) {
-          for (const Duration b : pcpBlocking(sys, tables)) h.add(b);
+          addFactors(h, pcpBlocking(sys, tables), {{kLocalLowerCs}});
         });
         addCase(mpcp, ProtocolKind::kMpcp, sys, o, [&](Fnv& h) {
-          const MpcpBlockingAnalysis analysis(sys, tables, o.mpcp);
-          for (const BlockingBreakdown& b : analysis.all()) {
-            h.add(b.local_lower_cs);
-            h.add(b.lower_gcs_queue);
-            h.add(b.higher_gcs_remote);
-            h.add(b.blocking_proc_gcs);
-            h.add(b.local_lower_gcs);
-            h.add(b.deferred_execution);
-          }
+          addFactors(h, MpcpBlockingAnalysis(sys, tables, o).all(),
+                     {{kLocalLowerCs},
+                      {kLowerGcsQueue},
+                      {kHigherGcsRemote},
+                      {kBlockingProcGcs},
+                      {kLocalLowerGcs},
+                      {kDeferredExecution}});
         });
         addCase(dpcp, ProtocolKind::kDpcp, sys, o, [&](Fnv& h) {
-          for (const DpcpBlockingBreakdown& b :
-               dpcpBlocking(sys, tables, o.dpcp)) {
-            h.add(b.local_lower_cs);
-            h.add(b.lower_gcs_queue);
-            h.add(b.agent_interference);
-            h.add(b.host_agent_load);
-            h.add(b.deferred_execution);
-          }
+          addFactors(h, dpcpBlocking(sys, tables, o),
+                     {{kLocalLowerCs},
+                      {kLowerGcsQueue},
+                      {kHigherGcsRemote, kAgentInterference},
+                      {kHostAgentLoad},
+                      {kDeferredExecution}});
         });
         addCase(hybrid, ProtocolKind::kHybrid, sys, o, [&](Fnv& h) {
-          for (const HybridBlockingBreakdown& b : hybridBlocking(
-                   sys, tables, defaultHybridPolicy(sys), o.mpcp)) {
-            h.add(b.local_lower_cs);
-            h.add(b.lower_gcs_queue);
-            h.add(b.higher_gcs_remote);
-            h.add(b.blocking_proc_gcs);
-            h.add(b.local_lower_gcs);
-            h.add(b.agent_interference);
-            h.add(b.host_agent_load);
-            h.add(b.deferred_execution);
-          }
+          addFactors(h, hybridBlocking(sys, tables, defaultHybridPolicy(sys),
+                                       o),
+                     {{kLocalLowerCs},
+                      {kLowerGcsQueue},
+                      {kHigherGcsRemote},
+                      {kBlockingProcGcs},
+                      {kLocalLowerGcs},
+                      {kAgentInterference},
+                      {kHostAgentLoad},
+                      {kDeferredExecution}});
         });
         for (const bool prio : {false, true}) {
           addCase(prio ? spin_prio : spin_fifo,
                   prio ? ProtocolKind::kSpinPrio : ProtocolKind::kSpinFifo,
                   sys, o, [&](Fnv& h) {
-                    const auto all = spinBlocking(sys, prio, o.spin);
-                    for (const SpinBlockingBreakdown& b : all) {
-                      h.add(b.spin_wait);
-                      h.add(b.arrival_blocking);
-                      h.add(b.deferred_execution);
-                    }
+                    const auto all = spinBlocking(sys, prio, o);
+                    addFactors(h, all,
+                               {{kSpinWait},
+                                {kArrivalBlocking},
+                                {kDeferredExecution}});
                     for (const Duration f : spinInflation(all)) h.add(f);
                   });
         }

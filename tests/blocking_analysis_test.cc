@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ceilings.h"
-#include "core/blocking.h"
+#include "core/hybrid_blocking.h"
 #include "model/task_system.h"
 
 namespace mpcp {
 namespace {
+
+using enum BlockingFactor;
 
 // Four tasks, two processors, one local + one global semaphore.
 //   tau1 (P0, T=40, prio 4): c1, [L1:1], [G1:2], c1          NG=1
@@ -48,19 +50,19 @@ TEST(MpcpBlocking, FactorsForHighestPriorityTask) {
       analysis.blocking(f.t1);
   // F1: tau2's L1 section (ceiling = prio(tau1) >= prio(tau1)), dur 3,
   //     times (NG+1) = 2 -> 6.
-  EXPECT_EQ(b.local_lower_cs, 6);
+  EXPECT_EQ(b[kLocalLowerCs], 6);
   // F2: one lower-priority REMOTE gcs per access on G1: max(tau3: 3,
   //     tau4: 5) = 5 (tau2 is local -> F5's business).
-  EXPECT_EQ(b.lower_gcs_queue, 5);
+  EXPECT_EQ(b[kLowerGcsQueue], 5);
   // F3: no higher-priority tasks exist.
-  EXPECT_EQ(b.higher_gcs_remote, 0);
+  EXPECT_EQ(b[kHigherGcsRemote], 0);
   // F4: on blocking processor P1, every gcs priority equals
   //     P_G + prio(tau1); nothing exceeds the blockers.
-  EXPECT_EQ(b.blocking_proc_gcs, 0);
+  EXPECT_EQ(b[kBlockingProcGcs], 0);
   // F5: tau2 (local, lower, NG=1): min(NG_1+1, 2*NG_2) = min(2,2) = 2
   //     sections of maxGcs(tau2) = 4 -> 8.
-  EXPECT_EQ(b.local_lower_gcs, 8);
-  EXPECT_EQ(b.deferred_execution, 0);
+  EXPECT_EQ(b[kLocalLowerGcs], 8);
+  EXPECT_EQ(b[kDeferredExecution], 0);
   EXPECT_EQ(b.total(), 19);
 }
 
@@ -70,18 +72,18 @@ TEST(MpcpBlocking, FactorsForMidPriorityLocalTask) {
   const MpcpBlockingAnalysis analysis(f.sys, tables);
   const BlockingBreakdown& b = analysis.blocking(f.t2);
   // F1: no lower-priority task on P0.
-  EXPECT_EQ(b.local_lower_cs, 0);
+  EXPECT_EQ(b[kLocalLowerCs], 0);
   // F2: lower-priority remote on G1: tau4 (5).
-  EXPECT_EQ(b.lower_gcs_queue, 5);
+  EXPECT_EQ(b[kLowerGcsQueue], 5);
   // F3: higher-priority remote sharing G1: tau3, dur 3,
   //     ceil(60/50) = 2 -> 6. (tau1 is local: normal preemption.)
-  EXPECT_EQ(b.higher_gcs_remote, 6);
-  EXPECT_EQ(b.blocking_proc_gcs, 0);
+  EXPECT_EQ(b[kHigherGcsRemote], 6);
+  EXPECT_EQ(b[kBlockingProcGcs], 0);
   // F5: no lower-priority local task.
-  EXPECT_EQ(b.local_lower_gcs, 0);
+  EXPECT_EQ(b[kLocalLowerGcs], 0);
   // Deferred execution: tau1 is local, higher priority, suspends (NG=1):
   // charge C_1 = 5.
-  EXPECT_EQ(b.deferred_execution, 5);
+  EXPECT_EQ(b[kDeferredExecution], 5);
   EXPECT_EQ(b.total(), 16);
 }
 
@@ -104,10 +106,10 @@ TEST(MpcpBlocking, Factor4ChargesHigherGcsPriorityOnBlockingProcessor) {
   const PriorityTables tables(sys);
   const MpcpBlockingAnalysis analysis(sys, tables);
   const BlockingBreakdown& bm = analysis.blocking(mid);
-  EXPECT_EQ(bm.lower_gcs_queue, 4);      // tau_lo's G_low section
+  EXPECT_EQ(bm[kLowerGcsQueue], 4);      // tau_lo's G_low section
   // tau_x's G_high gcs (P_G + prio(top)) outranks the blocker
   // (P_G + prio(mid)): ceil(40/50) = 1 execution of 2 ticks.
-  EXPECT_EQ(bm.blocking_proc_gcs, 2);
+  EXPECT_EQ(bm[kBlockingProcGcs], 2);
 }
 
 TEST(MpcpBlocking, PaperLiteralFactor5IsNeverTighter) {
@@ -118,8 +120,8 @@ TEST(MpcpBlocking, PaperLiteralFactor5IsNeverTighter) {
   const MpcpBlockingAnalysis literal(f.sys, tables,
                                      {.paper_literal_factor5 = true});
   for (const Task& t : f.sys.tasks()) {
-    EXPECT_LE(tight.blocking(t.id).local_lower_gcs,
-              literal.blocking(t.id).local_lower_gcs)
+    EXPECT_LE(tight.blocking(t.id)[kLocalLowerGcs],
+              literal.blocking(t.id)[kLocalLowerGcs])
         << t.name;
   }
 }
@@ -179,7 +181,7 @@ TEST(MpcpBlocking, HigherPriorityLocalGcsNotCharged) {
   // is *higher* priority, so nothing is charged.
   EXPECT_EQ(no_def.blocking(lo).total(), 0);
   const MpcpBlockingAnalysis with_def(sys, tables);
-  EXPECT_EQ(with_def.blocking(lo).deferred_execution, 5);  // C_hi = 5
+  EXPECT_EQ(with_def.blocking(lo)[kDeferredExecution], 5);  // C_hi = 5
 }
 
 }  // namespace

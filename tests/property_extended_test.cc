@@ -5,6 +5,7 @@
 
 #include "analysis/blocking_pcp.h"
 #include "analysis/ceilings.h"
+#include "analysis/profiles.h"
 #include "common/rng.h"
 #include "core/analyzer.h"
 #include "core/simulate.h"
@@ -16,6 +17,42 @@ namespace mpcp {
 namespace {
 
 using ::mpcp::testing::maxBlockedOf;
+
+TEST(PropertyExtended, KeptBreakdownFoldsBackToBlockingAndJitter) {
+  // ProtocolAnalysis keeps the per-task factors it derives B_i and the
+  // jitter from; adding the self-suspension back must give both exactly,
+  // under every analysis (pcp on systems without globals).
+  WorkloadParams p;
+  p.processors = 3;
+  p.tasks_per_processor = 3;
+  p.utilization_per_processor = 0.4;
+  p.cs_max = 20;
+  p.suspension_prob = 0.5;
+  int folded = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed * 29);
+    p.global_resources = seed % 3 == 0 ? 0 : 2;
+    const TaskSystem sys = generateWorkload(p, rng);
+    const std::vector<TaskProfile> profiles = buildProfiles(sys);
+    for (const ProtocolKind kind :
+         {ProtocolKind::kPcp, ProtocolKind::kMpcp, ProtocolKind::kDpcp,
+          ProtocolKind::kHybrid, ProtocolKind::kSpinFifo,
+          ProtocolKind::kSpinPrio}) {
+      if (kind == ProtocolKind::kPcp && sys.hasGlobalResources()) continue;
+      const ProtocolAnalysis a = analyzeUnder(kind, sys);
+      ASSERT_EQ(a.factors.size(), sys.tasks().size());
+      for (std::size_t i = 0; i < a.factors.size(); ++i) {
+        const Duration s = profiles[i].total_suspension;
+        EXPECT_EQ(a.factors[i].total() + s, a.blocking[i])
+            << toString(kind) << " seed " << seed << " task " << i;
+        EXPECT_EQ(a.factors[i].remoteSuspension() + s, a.jitter[i])
+            << toString(kind) << " seed " << seed << " task " << i;
+      }
+      ++folded;
+    }
+  }
+  EXPECT_EQ(folded, 4 * 6 + 8 * 5);  // pcp only on the 4 local-only seeds
+}
 
 TEST(PropertyExtended, MpcpSoundWithSuspendingWorkloads) {
   WorkloadParams p;
@@ -99,7 +136,7 @@ TEST(PropertyExtended, PcpBlockedAtMostOnceOverRandomUniprocessorSets) {
                                  {.horizon_cap = 200'000});
     for (const Task& t : sys.tasks()) {
       EXPECT_LE(maxBlockedOf(r, t.id),
-                bounds[static_cast<std::size_t>(t.id.value())])
+                bounds[static_cast<std::size_t>(t.id.value())].total())
           << t.name << " seed " << seed;
     }
   }

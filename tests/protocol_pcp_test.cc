@@ -122,8 +122,8 @@ TEST(Pcp, BlockedAtMostOneCriticalSection) {
   const PriorityTables tables(sys);
   const auto bounds = pcpBlocking(sys, tables);
   EXPECT_LE(maxBlockedOf(r, hi),
-            bounds[static_cast<std::size_t>(hi.value())]);
-  EXPECT_EQ(bounds[static_cast<std::size_t>(hi.value())], 5);
+            bounds[static_cast<std::size_t>(hi.value())].total());
+  EXPECT_EQ(bounds[static_cast<std::size_t>(hi.value())].total(), 5);
   (void)m1; (void)m2;
 }
 
@@ -160,7 +160,7 @@ TEST(Pcp, MeasuredBlockingWithinAnalyticalBound) {
     const SimResult r = simulate(ProtocolKind::kPcp, sys, {.horizon = 400});
     for (const Task& t : sys.tasks()) {
       EXPECT_LE(maxBlockedOf(r, t.id),
-                bounds[static_cast<std::size_t>(t.id.value())])
+                bounds[static_cast<std::size_t>(t.id.value())].total())
           << t.name << " cs=" << cs;
     }
   }

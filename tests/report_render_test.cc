@@ -6,6 +6,7 @@
 
 #include "analysis/report.h"
 #include "core/analyzer.h"
+#include "core/protocol_registry.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 #include "taskgen/paper_examples.h"
@@ -107,13 +108,41 @@ TEST(Engine, ResponsePlusWaitDecomposition) {
 
 TEST(Analyzer, PaperLiteralOptionFlowsThrough) {
   const paper::Example3 ex = paper::makeExample3();
-  const AnalyzerOptions literal{{.paper_literal_factor5 = true}, {}};
+  const BlockingOptions literal{.paper_literal_factor5 = true};
   const ProtocolAnalysis a = analyzeUnder(ProtocolKind::kMpcp, ex.sys);
   const ProtocolAnalysis b =
       analyzeUnder(ProtocolKind::kMpcp, ex.sys, literal);
   for (std::size_t i = 0; i < a.blocking.size(); ++i) {
     EXPECT_LE(a.blocking[i], b.blocking[i]);
   }
+}
+
+TEST(Analyzer, NoDeferredReachesEveryProtocol) {
+  // hi suspends on P0, so lo (lower priority, same processor) pays the
+  // deferred-execution penalty under every analysis; switching the
+  // penalty off must lower lo's bound under every one of them.
+  TaskSystemBuilder b(2);
+  const ResourceId g = b.addResource("G");
+  b.addTask({.name = "hi", .period = 100, .processor = 0,
+             .body = Body{}.compute(5).suspend(10).section(g, 2).compute(3)});
+  const TaskId lo =
+      b.addTask({.name = "lo", .period = 400, .processor = 0,
+                 .body = Body{}.compute(20).section(g, 4).compute(10)});
+  b.addTask({.name = "other", .period = 200, .processor = 1,
+             .body = Body{}.compute(10).section(g, 3).compute(5)});
+  const TaskSystem sys = std::move(b).build();
+  const auto i = static_cast<std::size_t>(lo.value());
+  int analyzed = 0;
+  for (const ProtocolSpec& spec : protocolRegistry()) {
+    // PCP is a uniprocessor protocol and rejects the global G.
+    if (!spec.analyzable || spec.kind == ProtocolKind::kPcp) continue;
+    const ProtocolAnalysis with = analyzeUnder(spec.kind, sys);
+    const ProtocolAnalysis without =
+        analyzeUnder(spec.kind, sys, {.include_deferred_execution = false});
+    EXPECT_LT(without.blocking[i], with.blocking[i]) << spec.name;
+    ++analyzed;
+  }
+  EXPECT_EQ(analyzed, 5);  // mpcp, dpcp, hybrid, spin-fifo, spin-prio
 }
 
 }  // namespace

@@ -7,13 +7,15 @@
 #include "analysis/ceilings.h"
 #include "common/rng.h"
 #include "core/analyzer.h"
-#include "core/blocking.h"
+#include "core/hybrid_blocking.h"
 #include "core/simulate.h"
 #include "model/task_system.h"
 #include "test_util.h"
 
 namespace mpcp {
 namespace {
+
+using enum BlockingFactor;
 
 using ::mpcp::testing::finishOf;
 using ::mpcp::testing::maxBlockedOf;
@@ -73,7 +75,7 @@ TEST(Suspension, TheoremOneExtraLocalBlocking) {
     const PriorityTables tables(sys);
     const MpcpBlockingAnalysis analysis(sys, tables);
     // hi = task 0; F1 = (n + 1) * 7.
-    EXPECT_EQ(analysis.blocking(TaskId(0)).local_lower_cs,
+    EXPECT_EQ(analysis.blocking(TaskId(0))[kLocalLowerCs],
               static_cast<Duration>(n + 1) * 7)
         << "suspensions=" << n;
   }

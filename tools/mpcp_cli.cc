@@ -176,11 +176,10 @@ int cmdAnalyze(const Args& args) {
   if (args.positional.empty()) return usage();
   const TaskSystem sys = load(args.positional[0]);
   const ProtocolKind kind = protocolFromName(args.get("protocol", "mpcp"));
-  AnalyzerOptions options;
-  options.mpcp.include_deferred_execution = !args.has("no-deferred");
-  options.dpcp.include_deferred_execution = !args.has("no-deferred");
-  options.mpcp.paper_literal_factor5 = args.has("paper-literal-f5");
-  const ProtocolAnalysis analysis = analyzeUnder(kind, sys, options);
+  const ProtocolAnalysis analysis = analyzeUnder(
+      kind, sys,
+      {.paper_literal_factor5 = args.has("paper-literal-f5"),
+       .include_deferred_execution = !args.has("no-deferred")});
   std::cout << "protocol: " << toString(kind) << "\n"
             << renderScheduleReport(sys, analysis.report);
   return analysis.report.rta_all ? 0 : 1;

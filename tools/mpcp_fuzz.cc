@@ -278,6 +278,13 @@ int fuzzMode(const Args& args) {
             << " repros, " << report.elapsed_s << "s"
             << (report.budget_exhausted ? " (time budget exhausted)" : "")
             << (report.interrupted ? " (interrupted)" : "") << "\n";
+  if (!report.oracle_runs.empty()) {
+    std::cout << "oracles:";
+    for (const auto& [oracle, runs] : report.oracle_runs) {
+      std::cout << " " << oracle << "=" << runs;
+    }
+    std::cout << "\n";
+  }
   if (!options.campaign_path.empty()) {
     std::cout << "campaign: " << report.resumed_skips << " resumed skips, "
               << report.previous_findings << " previous findings, "
